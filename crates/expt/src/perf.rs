@@ -1,10 +1,10 @@
 //! Perf smoke for the simulation kernel: the Montage-scale flow schedule
 //! driven through both the incremental [`FlowEngine`] and the preserved
-//! O(F²) reference solver, timed, and written to `BENCH.json`.
+//! O(F²) reference solver, timed, and checked against `BENCH.json`.
 //!
 //! `cargo run --release -p expt --bin repro -- --bench-smoke` runs this in
-//! a few seconds; `wfbench`'s `kernel` benchmark reuses the same workload
-//! for fuller Criterion statistics.
+//! a few seconds (`--update` rewrites the baseline); `wfbench`'s `kernel`
+//! benchmark reuses the same workload for fuller Criterion statistics.
 
 use serde::Serialize;
 use simcore::naive::NaiveFlowEngine;
@@ -200,7 +200,7 @@ pub fn bench_smoke(n_flows: u64) -> BenchSmoke {
         "observability changed simulated time"
     );
     // The incremental timing doubles as the regression baseline for the
-    // 2% disabled-bus gate, so sample it deeper: min-of-10 sits at the
+    // 5% disabled-bus gate, so sample it deeper: min-of-10 sits at the
     // machine's true floor rather than a lucky draw.
     let (inc_min, inc_mean) = time_runs(|| drive_incremental(&w), 10);
     let (nv_min, nv_mean) = time_runs(|| drive_naive(&w), 3);

@@ -38,6 +38,29 @@
 //!   multiply-add per flow/resource), using reusable scratch buffers
 //!   instead of per-event allocations.
 //!
+//! Two further shortcuts matter when one component spans every active flow
+//! (PVFS stripes every file over every node, so every event re-solves the
+//! whole cluster):
+//!
+//! * **Unchanged predictions are not re-pushed** — each slot keeps its live
+//!   prediction. A re-solve that leaves both the rate bits and the
+//!   recomputed instant `now + remaining/rate` equal to the stored ones
+//!   keeps the flow's heap entry (same generation, same key) instead of
+//!   pushing a duplicate. The instant must be compared as well as the rate:
+//!   re-syncing `remaining` can round a same-rate prediction by a
+//!   nanosecond. The live heap entry is then exactly the entry a push would
+//!   have made, so completion order is unchanged.
+//! * **No sort for the whole active set** — flow ids increase
+//!   monotonically, so an append-only `(id, slot)` list of started flows is
+//!   already in id order. When the collected component holds every active
+//!   flow, its solve order is read from that list (dropping, and compacting
+//!   away, entries whose slot was freed or reused) instead of sorting the
+//!   component by id. The order is the same, so the filling arithmetic is
+//!   bit-identical.
+//!
+//! [`FlowEngine::work`] counts solves, re-solved flows, heap pushes and
+//! sorted solves; the counters are deterministic and never feed a result.
+//!
 //! The reference single-threaded solver with global recompute and a linear
 //! completion scan is preserved as `NaiveFlowEngine` in the `naive` module
 //! behind the `oracle` feature; a differential property suite drives both
@@ -176,7 +199,24 @@ struct Slot<C> {
     sync: SimTime,
     /// Heap-entry generation; entries with an older generation are stale.
     gen: u64,
+    /// Predicted completion instant of the live heap entry.
+    pred: SimTime,
     completion: Option<C>,
+}
+
+/// Deterministic counters of the work the engine has done (diagnostics
+/// only: they depend on the engine's internals, not on the simulation).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowWork {
+    /// Component solves (one per start, completion or cancellation).
+    pub solves: u64,
+    /// Flows re-rated, summed over all solves.
+    pub flows_resolved: u64,
+    /// Completion predictions pushed onto the heap.
+    pub heap_pushes: u64,
+    /// Solves that sorted their component by id (components smaller than
+    /// the whole active set).
+    pub sorted_solves: u64,
 }
 
 /// Reusable per-event buffers (no allocation on the hot path once warm).
@@ -213,10 +253,14 @@ pub struct FlowEngine<C> {
     by_id: HashMap<u64, u32>,
     /// Lazy min-heap of predicted completions `(time, id, gen)`.
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    /// `(id, slot)` of started flows in id order; entries whose slot no
+    /// longer holds that id are dead and compacted away lazily.
+    order: Vec<(u64, u32)>,
     next_id: u64,
     last_advance: SimTime,
     flows_started: u64,
     flows_completed: u64,
+    work: FlowWork,
     scratch: Scratch,
 }
 
@@ -235,10 +279,12 @@ impl<C> FlowEngine<C> {
             free: Vec::new(),
             by_id: HashMap::new(),
             heap: BinaryHeap::new(),
+            order: Vec::new(),
             next_id: 0,
             last_advance: SimTime::ZERO,
             flows_started: 0,
             flows_completed: 0,
+            work: FlowWork::default(),
             scratch: Scratch::default(),
         }
     }
@@ -295,6 +341,11 @@ impl<C> FlowEngine<C> {
         self.by_id.len()
     }
 
+    /// Work counters accumulated since the engine was created.
+    pub fn work(&self) -> FlowWork {
+        self.work
+    }
+
     /// Start a flow at time `now`. The spec must not be instantaneous
     /// (check [`FlowSpec::is_instant`] first); panics otherwise. Panics if a
     /// rate cap is present but not finite and positive, or if the path
@@ -329,10 +380,12 @@ impl<C> FlowEngine<C> {
             rate: 0.0,
             sync: now,
             gen: 0,
+            pred: SimTime::ZERO,
             completion: Some(completion),
         });
         self.attach(slot);
         self.by_id.insert(id.0, slot);
+        self.order.push((id.0, slot));
         self.scratch.comp_slots.push(slot);
         self.solve_and_apply(now);
         id
@@ -477,6 +530,7 @@ impl<C> FlowEngine<C> {
         self.free.push(slot);
         self.solve_and_apply(now);
         self.maybe_shrink_heap();
+        self.maybe_compact_order();
         f.completion.expect("completion payload taken twice")
     }
 
@@ -545,14 +599,26 @@ impl<C> FlowEngine<C> {
     /// in ascending external-id order so the arithmetic matches a global
     /// recompute restricted to this component bit for bit.
     fn solve_and_apply(&mut self, now: SimTime) {
+        if self.scratch.comp_slots.len() == self.by_id.len() {
+            // The component is every active flow: take the id order from
+            // the started-flow list, compacting it on the way.
+            self.compact_order();
+            let sc = &mut self.scratch;
+            sc.comp_slots.clear();
+            sc.comp_slots.extend(self.order.iter().map(|&(_, s)| s));
+        } else {
+            self.scratch.comp_slots.sort_unstable_by_key(|&s| {
+                self.slots[s as usize]
+                    .as_ref()
+                    .expect("solving vacant slot")
+                    .id
+            });
+            self.work.sorted_solves += 1;
+        }
         let sc = &mut self.scratch;
-        sc.comp_slots.sort_unstable_by_key(|&s| {
-            self.slots[s as usize]
-                .as_ref()
-                .expect("solving vacant slot")
-                .id
-        });
         let k = sc.comp_slots.len();
+        self.work.solves += 1;
+        self.work.flows_resolved += k as u64;
         let nr = sc.comp_res.len();
 
         sc.fixed.clear();
@@ -660,13 +726,21 @@ impl<C> FlowEngine<C> {
         // Apply rates and push fresh completion predictions for every flow
         // of the component (its remaining bytes were just synced to `now`,
         // so the prediction is exactly what the reference engine's linear
-        // scan would derive). Superseded heap entries go stale via `gen`.
+        // scan would derive). Superseded heap entries go stale via `gen`; a
+        // flow whose rate bits and prediction are both unchanged keeps its
+        // live entry, which already carries that exact key.
         for (i, &s) in sc.comp_slots.iter().enumerate() {
             let f = self.slots[s as usize].as_mut().expect("vacant");
-            f.rate = sc.new_rate[i].max(f64::MIN_POSITIVE);
+            let rate = sc.new_rate[i].max(f64::MIN_POSITIVE);
+            let pred = now + SimDuration::from_secs_f64(f.remaining / rate);
+            if rate.to_bits() == f.rate.to_bits() && pred == f.pred {
+                continue;
+            }
+            f.rate = rate;
+            f.pred = pred;
             f.gen += 1;
-            let eta = SimDuration::from_secs_f64(f.remaining / f.rate);
-            self.heap.push(Reverse((now + eta, f.id, f.gen)));
+            self.heap.push(Reverse((pred, f.id, f.gen)));
+            self.work.heap_pushes += 1;
         }
 
         // Per-resource rate sums open a fresh constant-rate interval.
@@ -696,6 +770,20 @@ impl<C> FlowEngine<C> {
                         .is_some_and(|f| f.gen == *gen)
                 })
                 .collect();
+        }
+    }
+
+    /// Drop the started-flow entries whose slot was freed or reused.
+    fn compact_order(&mut self) {
+        let slots = &self.slots;
+        self.order
+            .retain(|&(id, s)| slots[s as usize].as_ref().is_some_and(|f| f.id == id));
+    }
+
+    /// Bound the started-flow list: when dead entries dominate, drop them.
+    fn maybe_compact_order(&mut self) {
+        if self.order.len() > 64 && self.order.len() > 2 * self.by_id.len() + 16 {
+            self.compact_order();
         }
     }
 }
@@ -908,5 +996,114 @@ mod tests {
         let (done, fid) = fe.next_completion().unwrap();
         assert_eq!(fid, a);
         assert!((done.as_secs_f64() - 10.0).abs() < 1e-4, "{done}");
+    }
+
+    /// Ids of the live entries of the started-flow list, in list order.
+    fn order_ids<C>(fe: &FlowEngine<C>) -> Vec<u64> {
+        fe.order
+            .iter()
+            .filter(|&&(id, s)| fe.slots[s as usize].as_ref().is_some_and(|f| f.id == id))
+            .map(|&(id, _)| id)
+            .collect()
+    }
+
+    #[test]
+    fn unchanged_capped_flows_keep_their_heap_entries() {
+        // Ten flows capped at 10 B/s leave a 1000 B/s resource slack, so a
+        // newcomer capped the same way re-rates nobody: only its own
+        // prediction is pushed. The numbers are exact in binary, so the
+        // re-synced predictions land on the same nanosecond.
+        let mut fe: FlowEngine<()> = FlowEngine::new();
+        let r = fe.add_resource("nic", 1000.0);
+        let olds: Vec<FlowId> = (0..10)
+            .map(|_| fe.start(t(0.0), FlowSpec::new(1000, vec![r]).with_cap(10.0), ()))
+            .collect();
+        let before = fe.work();
+        let new = fe.start(t(1.0), FlowSpec::new(1000, vec![r]).with_cap(10.0), ());
+        let after = fe.work();
+        assert_eq!(after.solves - before.solves, 1);
+        assert_eq!(after.flows_resolved - before.flows_resolved, 11);
+        assert_eq!(after.heap_pushes - before.heap_pushes, 1);
+        for id in olds.iter().chain([&new]) {
+            assert_eq!(fe.flow_rate(*id), Some(10.0));
+        }
+        // The kept entries still announce the oldest flow first, on time.
+        assert_eq!(fe.next_completion(), Some((t(100.0), olds[0])));
+    }
+
+    #[test]
+    fn rerated_flows_push_fresh_predictions() {
+        let mut fe: FlowEngine<()> = FlowEngine::new();
+        let r = fe.add_resource("nic", 100.0);
+        fe.start(t(0.0), FlowSpec::new(1000, vec![r]), ());
+        let before = fe.work();
+        fe.start(t(1.0), FlowSpec::new(1000, vec![r]), ());
+        // Both flows' rates move (100 → 50, 0 → 50): two pushes.
+        assert_eq!(fe.work().heap_pushes - before.heap_pushes, 2);
+    }
+
+    #[test]
+    fn fully_connected_component_runs_no_sort() {
+        let mut fe: FlowEngine<u32> = FlowEngine::new();
+        let r = fe.add_resource("nic", 100.0);
+        for i in 0..8u32 {
+            fe.start(t(0.0), FlowSpec::new(100 * u64::from(i + 1), vec![r]), i);
+        }
+        while let Some((at, id)) = fe.next_completion() {
+            fe.complete(at, id);
+        }
+        let w = fe.work();
+        assert_eq!(w.solves, 16);
+        assert_eq!(w.sorted_solves, 0);
+        assert!(fe.order.is_empty(), "every entry is compacted away");
+    }
+
+    #[test]
+    fn reused_slot_never_revives_old_order_entry() {
+        let mut fe: FlowEngine<()> = FlowEngine::new();
+        let r = fe.add_resource("nic", 100.0);
+        let a = fe.start(t(0.0), FlowSpec::new(100, vec![r]), ());
+        let b = fe.start(t(0.0), FlowSpec::new(1000, vec![r]), ());
+        let c = fe.start(t(0.0), FlowSpec::new(1000, vec![r]), ());
+        let slot_a = fe.by_id[&a.0];
+        fe.complete(t(3.0), a);
+        // The solve after A's completion covered every active flow and
+        // compacted A's entry away.
+        assert_eq!(fe.order.len(), 2);
+        assert_eq!(order_ids(&fe), vec![b.0, c.0]);
+        // D reuses A's slot under a new id; it appears once, last.
+        let d = fe.start(t(3.0), FlowSpec::new(1000, vec![r]), ());
+        assert_eq!(fe.by_id[&d.0], slot_a);
+        assert_eq!(
+            fe.order,
+            vec![(b.0, fe.by_id[&b.0]), (c.0, fe.by_id[&c.0]), (d.0, slot_a)]
+        );
+
+        // Without a compaction in between, the dead entry stays listed but
+        // never counts as live, even though its slot is occupied again.
+        let rx = fe.add_resource("x", 100.0);
+        let ry = fe.add_resource("y", 100.0);
+        let e = fe.start(t(3.0), FlowSpec::new(100, vec![rx]), ());
+        let slot_e = fe.by_id[&e.0];
+        fe.start(t(3.0), FlowSpec::new(100, vec![ry]), ());
+        fe.cancel(t(3.5), e); // partial component: no compaction
+        assert!(fe.order.contains(&(e.0, slot_e)));
+        let g = fe.start(t(3.5), FlowSpec::new(100, vec![ry]), ());
+        assert_eq!(fe.by_id[&g.0], slot_e);
+        let ids = order_ids(&fe);
+        assert!(!ids.contains(&e.0));
+        assert_eq!(ids.iter().filter(|&&id| id == g.0).count(), 1);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+
+        // A flow joining both components makes the next solve cover every
+        // active flow: the dead entry is dropped, not solved as G twice.
+        let h = fe.start(t(3.5), FlowSpec::new(100, vec![r, ry]), ());
+        assert_eq!(fe.work().sorted_solves, 4);
+        assert!(!fe.order.iter().any(|&(id, _)| id == e.0));
+        assert_eq!(fe.order.iter().filter(|&&(_, s)| s == slot_e).count(), 1);
+        assert_eq!(fe.order.len(), fe.active_flows());
+        // r: B, C, D, H share 100; ry: F, G, H. H is held to 25 by r.
+        assert_eq!(fe.flow_rate(g), Some(37.5));
+        assert_eq!(fe.flow_rate(h), Some(25.0));
     }
 }

@@ -45,7 +45,7 @@ pub mod rng;
 pub mod sim;
 pub mod time;
 
-pub use flow::{FlowEngine, FlowId, FlowSpec, ResourceId, ResourceStats};
+pub use flow::{FlowEngine, FlowId, FlowSpec, FlowWork, ResourceId, ResourceStats};
 pub use rng::DetRng;
 pub use sim::{EventFn, Sim};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use simcore::naive::NaiveFlowEngine;
-use simcore::{FlowEngine, FlowId, FlowSpec, SimTime};
+use simcore::{FlowEngine, FlowId, FlowSpec, FlowWork, SimTime};
 use wfobs::RunDigest;
 
 /// A randomly generated flow description over `n_res` resources.
@@ -49,6 +49,46 @@ fn gen_flow(n_res: usize) -> impl Strategy<Value = GenFlow> {
         })
 }
 
+/// Per-flow rate caps of the cap-bound schedules: few distinct values, so
+/// many flows share a cap and keep it across re-solves.
+const CAP_SET: [f64; 3] = [2.5e5, 1e6, 4e6];
+
+/// Flows starting in bursts of 2–8 on a few shared instants, almost all
+/// capped from [`CAP_SET`], at most `max` flows in all.
+fn gen_burst_flows(n_res: usize, max: usize) -> impl Strategy<Value = Vec<GenFlow>> {
+    let body = (
+        // Short flows end (freeing slots) while later bursts start; long
+        // ones run for days of simulated time, where re-syncing
+        // `remaining` can move a same-rate prediction by a nanosecond.
+        prop_oneof![1u64..5_000_000, 1u64..5_000_000_000_000],
+        proptest::collection::vec(0..n_res, 1..=n_res.min(4)),
+        // One flow in nine is uncapped and soaks up what the caps leave.
+        (0usize..9).prop_map(|i| (i < 8).then(|| CAP_SET[i % CAP_SET.len()])),
+    );
+    (
+        proptest::collection::vec(0u64..8_000, 1..=4),
+        proptest::collection::vec((0usize..4, proptest::collection::vec(body, 2..=8)), 1..=24),
+    )
+        .prop_map(move |(instants, bursts)| {
+            let mut flows = Vec::new();
+            for (at, burst) in bursts {
+                let start_ms = instants[at % instants.len()];
+                for (bytes, mut path, cap) in burst {
+                    path.sort_unstable();
+                    path.dedup();
+                    flows.push(GenFlow {
+                        bytes,
+                        path,
+                        cap,
+                        start_ms,
+                    });
+                }
+            }
+            flows.truncate(max);
+            flows
+        })
+}
+
 /// One scheduled mutation of the engines.
 enum Op {
     /// Start the flow at this index of the generated list.
@@ -63,7 +103,8 @@ enum Op {
 
 /// Drive both engines through the same schedule, asserting agreement after
 /// every event. `tol_ns(t)` bounds the allowed next-completion divergence
-/// at simulated nanosecond `t`.
+/// at simulated nanosecond `t`. Returns the incremental engine's work
+/// counters.
 fn run_differential(
     caps: &[f64],
     flows: &[GenFlow],
@@ -71,7 +112,7 @@ fn run_differential(
     crashes: &[(usize, u64)],
     force_shared: bool,
     tol_ns: impl Fn(u64) -> u64,
-) -> Result<(), TestCaseError> {
+) -> Result<FlowWork, TestCaseError> {
     let mut naive: NaiveFlowEngine<usize> = NaiveFlowEngine::new();
     let mut inc: FlowEngine<usize> = FlowEngine::new();
     let rids_n: Vec<_> = caps
@@ -251,7 +292,7 @@ fn run_differential(
             "resource bytes diverged: {bn} vs {bi}"
         );
     }
-    Ok(())
+    Ok(inc.work())
 }
 
 proptest! {
@@ -310,5 +351,24 @@ proptest! {
     ) {
         run_differential(&caps, &flows, &cancels, &crashes, false,
             |t| 2 + (t as f64 * 1e-12) as u64)?;
+    }
+
+    /// Giant-component, cap-bound schedules: every flow crosses resource
+    /// 0, capacities leave most flows at their cap, starts arrive in
+    /// same-instant bursts, and crash bursts tear flows down mid-run. Most
+    /// re-solves leave a flow's rate and prediction unchanged, so the
+    /// engine keeps its heap entry; every solve covers the whole active
+    /// set, so none sorts; up to 120 flows make the started-flow list
+    /// compact and slots be reused. Rates, completion instants and ids
+    /// must still match the oracle bit for bit.
+    #[test]
+    fn cap_bound_giant_component_bit_identical(
+        caps in proptest::collection::vec(1e8f64..1e9, 1..5),
+        flows in gen_burst_flows(4, 120),
+        crashes in proptest::collection::vec((0usize..8, 0u64..10_000), 1..4),
+        cancels in proptest::collection::vec((0usize..128, 0u64..10_000), 0..8),
+    ) {
+        let work = run_differential(&caps, &flows, &cancels, &crashes, true, |_| 0)?;
+        prop_assert_eq!(work.sorted_solves, 0, "a whole-set solve sorted");
     }
 }

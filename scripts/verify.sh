@@ -10,10 +10,10 @@
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
-# Perf smoke:          repro --bench-smoke (writes BENCH.json; asserts the
-#                      incremental and reference flow engines agree, and
-#                      that the disabled-bus kernel path stays within 5%
-#                      of the committed baseline)
+# Perf smoke:          repro --bench-smoke (asserts the incremental and
+#                      reference flow engines agree, and that the
+#                      disabled-bus kernel path stays within 5% of the
+#                      committed BENCH.json, which only --update rewrites)
 # Golden digest:       repro --golden-digest (the fixed tiny workflow must
 #                      reproduce tests/golden_digest.txt bit for bit)
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
