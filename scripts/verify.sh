@@ -19,8 +19,9 @@
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
 #                      tests/golden_otlp.json byte for byte)
 # OTLP conformance:    the wfengine/expt otlp test targets (well-formedness
-#                      proptests, edge cases, phase/cost parity), plus
-#                      wfobs standing alone without default features
+#                      proptests, edge cases, phase/cost parity, exporter
+#                      hashes under faults), plus wfobs standing alone
+#                      without default features
 # Live TUI:            golden-frame + live-determinism test targets, the
 #                      frame-geometry proptest, and `wfsim run --live`
 #                      under TERM=dumb (must fall back to plain `live:`
@@ -64,7 +65,7 @@ cargo run --release -q -p expt --bin repro -- --golden-otlp
 
 echo "== otlp conformance =="
 cargo test -q -p wfengine --test prop_otlp --test otlp_edge
-cargo test -q -p expt --test otlp_parity --test folded_golden
+cargo test -q -p expt --test otlp_parity --test folded_golden --test export_golden
 cargo test -q -p wfobs --no-default-features
 
 echo "== live TUI: golden frames + determinism + geometry =="
