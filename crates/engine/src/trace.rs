@@ -2,12 +2,12 @@
 //! Pegasus-style jobstate logs, per-node Gantt charts and utilization
 //! summaries over a completed run.
 
-use crate::run::{FaultSummary, RunStats};
+use crate::run::RunStats;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use wfdag::{TaskId, Workflow};
-use wfobs::{Event, ObsReport, Phase};
+use wfdag::Workflow;
+use wfobs::spans::{Outcome, Spans, Step};
+use wfobs::{ObsReport, Phase};
 
 /// Slot-seconds spent in each phase of the task lifecycle, summed over
 /// all tasks — where the cluster's time actually went.
@@ -129,27 +129,12 @@ pub fn jobstate_log(stats: &RunStats, wf: &Workflow) -> String {
 /// A per-node occupancy Gantt chart: each node row shows how many slots
 /// were busy over time (digits 0–9, `*` for ≥10), over `width` buckets.
 pub fn render_gantt(stats: &RunStats, workers: u32, width: usize) -> String {
-    let spans: Vec<(u32, u64, u64)> = stats
-        .records
-        .iter()
-        .map(|r| (r.node.0, r.start_at.as_nanos(), r.end_at.as_nanos()))
-        .collect();
-    render_gantt_rows(&spans, stats.makespan_secs, workers, width)
-}
-
-/// Shared Gantt renderer over raw `(node, start_nanos, end_nanos)` spans.
-fn render_gantt_rows(
-    spans: &[(u32, u64, u64)],
-    makespan_secs: f64,
-    workers: u32,
-    width: usize,
-) -> String {
     let mut s = String::new();
     if width == 0 || workers == 0 {
         let _ = writeln!(s, "NODE OCCUPANCY — nothing to draw (0 buckets or 0 nodes)");
         return s;
     }
-    let span = makespan_secs.max(1e-9);
+    let span = stats.makespan_secs.max(1e-9);
     let _ = writeln!(
         s,
         "NODE OCCUPANCY — busy slots over time ({width} buckets of {:.1}s)",
@@ -157,12 +142,9 @@ fn render_gantt_rows(
     );
     for w in 0..workers {
         let mut busy = vec![0u32; width];
-        for &(node, start, end) in spans {
-            if node != w {
-                continue;
-            }
-            let start = start as f64 / 1e9;
-            let end = end as f64 / 1e9;
+        for r in stats.records.iter().filter(|r| r.node.0 == w) {
+            let start = r.start_at.as_nanos() as f64 / 1e9;
+            let end = r.end_at.as_nanos() as f64 / 1e9;
             // Clamp both ends into [0, width]; an empty clamped range
             // (start beyond the makespan) simply paints nothing.
             let a = ((start / span * width as f64) as usize).min(width);
@@ -201,205 +183,44 @@ pub fn render_fault_summary(f: &crate::run::FaultSummary) -> String {
     s
 }
 
-// ---------------------------------------------------------------------
-// Bus consumers: the same post-mortem views, rebuilt from the wfobs
-// event stream alone (no `TaskRecord` access). Running a workflow at
-// `ObsLevel::Full` yields the report these functions consume; the test
-// suite asserts the bus-derived phase totals match the record-derived
-// ones to 1e-6.
-// ---------------------------------------------------------------------
-
-fn phase_bucket(p: &mut PhaseBreakdown, phase: Phase) -> &mut f64 {
-    match phase {
-        Phase::Ops => &mut p.ops,
-        Phase::StageIn => &mut p.stage_in,
-        Phase::Read => &mut p.read,
-        Phase::Compute => &mut p.compute,
-        Phase::Write => &mut p.write,
-        Phase::StageOut => &mut p.stage_out,
-    }
-}
-
-/// Per-task phase accumulator for the bus walk: tracks the currently
-/// open interval (`None` phase = the dispatch-overhead interval).
-#[derive(Clone, Copy, Default)]
-struct PhaseAcc {
-    p: PhaseBreakdown,
-    mark: u64,
-    phase: Option<Phase>,
-    open: bool,
-}
-
-impl PhaseAcc {
-    fn close_interval(&mut self, t: u64) {
-        let d = (t - self.mark) as f64 / 1e9;
-        match self.phase {
-            None => self.p.overhead += d,
-            Some(ph) => *phase_bucket(&mut self.p, ph) += d,
-        }
-        self.mark = t;
-    }
-}
-
-/// Rebuild the phase breakdown from the observability event stream.
-///
-/// A `TaskStart` resets the task's accumulator (so a retried task counts
-/// only its final attempt, matching [`phase_breakdown`]'s record-based
-/// semantics); `TaskKilled`/`TaskFailed` discard the partial attempt.
+/// Rebuild the phase breakdown from the observability event stream, a
+/// second witness to [`phase_breakdown`]: only attempts that end with
+/// `TaskEnd` count, so a retried task counts only its final attempt,
+/// matching the record-based semantics; killed and failed attempts are
+/// discarded. The suite holds the two to 1e-6.
 pub fn phase_breakdown_from_bus(report: &ObsReport) -> PhaseBreakdown {
-    let mut acc: HashMap<u32, PhaseAcc> = HashMap::new();
+    let mut attempts: Spans<PhaseBreakdown> = Spans::new();
     let mut totals = PhaseBreakdown::default();
     for &(t, ev) in &report.events {
-        match ev {
-            Event::TaskStart { task, .. } => {
-                acc.insert(
-                    task,
-                    PhaseAcc {
-                        mark: t,
-                        open: true,
-                        ..PhaseAcc::default()
-                    },
-                );
+        attempts.apply(t, &ev, |step| match step {
+            Step::Phase(a, iv) => {
+                let d = (iv.end - iv.start) as f64 / 1e9;
+                let p = &mut a.data;
+                *match iv.phase {
+                    None => &mut p.overhead,
+                    Some(Phase::Ops) => &mut p.ops,
+                    Some(Phase::StageIn) => &mut p.stage_in,
+                    Some(Phase::Read) => &mut p.read,
+                    Some(Phase::Compute) => &mut p.compute,
+                    Some(Phase::Write) => &mut p.write,
+                    Some(Phase::StageOut) => &mut p.stage_out,
+                } += d;
             }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(a) = acc.get_mut(&task) {
-                    if a.open {
-                        a.close_interval(t);
-                        a.phase = Some(phase);
-                    }
-                }
-            }
-            Event::TaskEnd { task, .. } => {
-                if let Some(a) = acc.get_mut(&task) {
-                    if a.open {
-                        a.close_interval(t);
-                        a.open = false;
-                        totals.overhead += a.p.overhead;
-                        totals.ops += a.p.ops;
-                        totals.stage_in += a.p.stage_in;
-                        totals.read += a.p.read;
-                        totals.compute += a.p.compute;
-                        totals.write += a.p.write;
-                        totals.stage_out += a.p.stage_out;
-                    }
-                }
-            }
-            Event::TaskKilled { task, .. } | Event::TaskFailed { task, .. } => {
-                if let Some(a) = acc.get_mut(&task) {
-                    a.open = false;
-                }
+            Step::End(a, Outcome::Ok, _) => {
+                let p = a.data;
+                totals.overhead += p.overhead;
+                totals.ops += p.ops;
+                totals.stage_in += p.stage_in;
+                totals.read += p.read;
+                totals.compute += p.compute;
+                totals.write += p.write;
+                totals.stage_out += p.stage_out;
             }
             _ => {}
-        }
+        });
     }
     totals
 }
-
-/// Rebuild a Pegasus-jobstate-style log from the event stream. Richer
-/// than [`jobstate_log`]: every attempt appears (including evicted and
-/// failed ones), not just the final successful execution.
-pub fn jobstate_log_from_bus(report: &ObsReport, wf: &Workflow) -> String {
-    let mut s = String::new();
-    for &(t, ev) in &report.events {
-        let secs = t as f64 / 1e9;
-        match ev {
-            Event::TaskStart { task, node, .. } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} SUBMIT node_{node}");
-            }
-            Event::TaskPhase {
-                task,
-                node,
-                phase: Phase::Compute,
-            } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} EXECUTE node_{node}");
-            }
-            Event::TaskEnd {
-                task,
-                node,
-                attempt,
-            } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(
-                    s,
-                    "{secs:.3} {name} JOB_TERMINATED node_{node} attempts={attempt}"
-                );
-            }
-            Event::TaskKilled { task, node, .. } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} JOB_EVICTED node_{node}");
-            }
-            Event::TaskFailed { task, node } => {
-                let name = &wf.task(TaskId(task)).name;
-                let _ = writeln!(s, "{secs:.3} {name} JOB_FAILURE node_{node}");
-            }
-            _ => {}
-        }
-    }
-    s
-}
-
-/// Rebuild the fault counters from the event stream. Billing segments
-/// are left empty — instance types never cross the bus; take them from
-/// `RunStats::faults::segments`.
-pub fn fault_summary_from_bus(report: &ObsReport) -> FaultSummary {
-    let mut f = FaultSummary::default();
-    for &(_, ev) in &report.events {
-        match ev {
-            Event::Fault { kind, .. } => match kind {
-                wfobs::FaultKind::NodeCrash => f.node_crashes += 1,
-                wfobs::FaultKind::SpotTermination => f.spot_terminations += 1,
-                wfobs::FaultKind::StorageFailure => f.storage_failures += 1,
-            },
-            Event::TaskKilled { wasted_nanos, .. } => {
-                f.tasks_killed += 1;
-                f.wasted_task_secs += wasted_nanos as f64 / 1e9;
-            }
-            Event::RescueResubmit { .. } => f.rescue_resubmits += 1,
-            Event::FilesLost { count } => f.files_lost += count as u64,
-            _ => {}
-        }
-    }
-    f
-}
-
-/// Rebuild the per-node occupancy Gantt chart from the event stream:
-/// task spans are `TaskStart` to `TaskEnd`/`TaskKilled` per node, so
-/// evicted attempts paint the chart too (unlike the record-based view).
-pub fn render_gantt_from_bus(report: &ObsReport, workers: u32, width: usize) -> String {
-    let mut open: HashMap<u32, (u32, u64)> = HashMap::new();
-    let mut spans: Vec<(u32, u64, u64)> = Vec::new();
-    let mut t_end = 0u64;
-    for &(t, ev) in &report.events {
-        t_end = t_end.max(t);
-        match ev {
-            Event::TaskStart { task, node, .. } => {
-                open.insert(task, (node, t));
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some((node, start)) = open.remove(&task) {
-                    spans.push((node, start, t));
-                }
-            }
-            _ => {}
-        }
-    }
-    for (_, (node, start)) in open {
-        spans.push((node, start, t_end));
-    }
-    render_gantt_rows(&spans, t_end as f64 / 1e9, workers, width)
-}
-
-// ---------------------------------------------------------------------
-// OTLP consumers: labels that join run metadata onto the exporter, and
-// the inverse mappings that reconstruct the paper's deliverables (phase
-// breakdown, billing segments) from a decoded OTLP document alone. The
-// parity suite holds both reconstructions to 1e-6 of the bus/record
-// paths — the proof that the exported trace carries the whole story.
-// ---------------------------------------------------------------------
 
 /// Build the label set the OTLP exporter joins onto the event stream of
 /// a finished run: task names from the workflow, the storage/cluster
@@ -431,74 +252,6 @@ pub fn otlp_labels(
             })
             .collect(),
     }
-}
-
-/// Rebuild the phase breakdown from a decoded OTLP trace: sum the phase
-/// spans of task attempts that finished `ok` (matching
-/// [`phase_breakdown_from_bus`], which drops killed/failed attempts).
-pub fn phase_breakdown_from_otlp(trace: &wfobs::otlp::decode::Trace) -> PhaseBreakdown {
-    let ok_tasks: std::collections::HashSet<&str> = trace
-        .spans
-        .iter()
-        .filter(|s| {
-            s.attr("wf.task.outcome")
-                .and_then(|v| v.as_str())
-                .is_some_and(|o| o == "ok")
-        })
-        .map(|s| s.span_id.as_str())
-        .collect();
-    let mut p = PhaseBreakdown::default();
-    for s in &trace.spans {
-        let Some(label) = s.attr("wf.phase").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        if !ok_tasks.contains(s.parent_span_id.as_str()) {
-            continue;
-        }
-        let d = (s.end - s.start) as f64 / 1e9;
-        match label {
-            "overhead" => p.overhead += d,
-            "ops" => p.ops += d,
-            "stage-in" => p.stage_in += d,
-            "read" => p.read += d,
-            "compute" => p.compute += d,
-            "write" => p.write += d,
-            "stage-out" => p.stage_out += d,
-            _ => {}
-        }
-    }
-    p
-}
-
-/// Rebuild the billed lease intervals from a decoded OTLP trace: every
-/// node-incarnation span carries `wf.billing.*` attributes, and the
-/// instance type parses back through `InstanceType::from_api_name`.
-/// Feeding the result to `wfcost::CostModel::segments_cents` reproduces
-/// the run's resource bill.
-pub fn segments_from_otlp(trace: &wfobs::otlp::decode::Trace) -> Vec<wfcost::BilledSegment> {
-    let mut out = Vec::new();
-    for s in &trace.spans {
-        let Some(itype) = s
-            .attr("wf.billing.itype")
-            .and_then(|v| v.as_str())
-            .and_then(vcluster::InstanceType::from_api_name)
-        else {
-            continue;
-        };
-        out.push(wfcost::BilledSegment {
-            node: s.attr("wf.node.id").and_then(|v| v.as_i64()).unwrap_or(0) as u32,
-            itype,
-            secs: s
-                .attr("wf.billing.secs")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0),
-            spot: s
-                .attr("wf.billing.spot")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-        });
-    }
-    out
 }
 
 /// The busiest resources of a run, by mean utilization — the first place

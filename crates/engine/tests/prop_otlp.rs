@@ -10,11 +10,15 @@
 //!    seed moves every id,
 //! 3. agree with the metrics document: same resource attributes, and
 //!    every counter in the registry round-trips through OTLP JSON.
+//!
+//! Both properties also check that the recorded event stream itself is
+//! attempt-well-formed, the shape every span exporter relies on.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use wfengine::{run_workflow, FaultPlan, NodeCrashSpec, RunConfig, RunStats};
 use wfobs::otlp::decode;
-use wfobs::ObsLevel;
+use wfobs::{Event, ObsLevel};
 use wfstorage::StorageKind;
 
 /// Generation parameters of one task (same scheme as `prop_obs`).
@@ -98,6 +102,48 @@ fn export(stats: &RunStats, tasks: &[GenTask], kind_ix: usize, workers: u32) -> 
     )
 }
 
+/// Check that every task-lifecycle event fits the task's open attempt:
+/// no task gets a second `TaskStart` while an attempt is open, and
+/// `TaskPhase`, `TaskEnd`, `TaskKilled` and `TaskFailed` refer only to
+/// the open attempt, on the node it started on.
+fn attempt_well_formed(stats: &RunStats) -> Result<(), String> {
+    let report = stats.obs.as_ref().expect("Full level records a report");
+    // Task id → node of its open attempt.
+    let mut open: HashMap<u32, u32> = HashMap::new();
+    for (i, &(t, ev)) in report.events.iter().enumerate() {
+        let (task, node, ends) = match ev {
+            Event::TaskStart { task, node, .. } => match open.insert(task, node) {
+                None => continue,
+                Some(prev) => {
+                    return Err(format!(
+                        "event {i} at {t}: task {task} started on node {node} \
+                         while its attempt on node {prev} is open"
+                    ))
+                }
+            },
+            Event::TaskPhase { task, node, .. } => (task, node, false),
+            Event::TaskEnd { task, node, .. }
+            | Event::TaskKilled { task, node, .. }
+            | Event::TaskFailed { task, node } => (task, node, true),
+            _ => continue,
+        };
+        match open.get(&task) {
+            Some(&n) if n == node => {
+                if ends {
+                    open.remove(&task);
+                }
+            }
+            Some(&n) => {
+                return Err(format!(
+                    "event {i} at {t}: {ev:?} on node {node}, but the attempt is on node {n}"
+                ))
+            }
+            None => return Err(format!("event {i} at {t}: {ev:?} with no open attempt")),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -111,6 +157,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let stats = run(&tasks, kind_ix, workers, seed, None);
+        prop_assert_eq!(attempt_well_formed(&stats), Ok(()));
         let (trace_json, metrics_json) = export(&stats, &tasks, kind_ix, workers);
         let trace = decode::trace(&trace_json).expect("trace decodes");
         decode::check_well_formed(&trace).expect("well-formed span tree");
@@ -176,6 +223,7 @@ proptest! {
         });
         plan.max_fault_retries = 16;
         let stats = run(&tasks, kind_ix, workers, seed, Some(plan.clone()));
+        prop_assert_eq!(attempt_well_formed(&stats), Ok(()));
         let (trace_json, _) = export(&stats, &tasks, kind_ix, workers);
         let trace = decode::trace(&trace_json).expect("trace decodes");
         decode::check_well_formed(&trace).expect("well-formed under faults");

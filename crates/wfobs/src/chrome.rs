@@ -5,13 +5,16 @@
 //! document: one process for the workflow with one *lane group* per
 //! worker node, plus counter tracks for queue depths and per-resource
 //! in-flight flows. Nodes can run several tasks at once (multi-slot
-//! instances), so each node's concurrent task spans are spread over
-//! greedily-assigned sublanes — within any single lane (`tid`) spans are
-//! strictly nested or disjoint, which is what Chrome's viewer (and our
-//! property test) expects.
+//! instances), so each node's concurrent task spans are spread over the
+//! greedy sublanes of the shared [`spans`](crate::spans) fold — within
+//! any single lane (`tid`) spans are strictly nested or disjoint, which
+//! is what Chrome's viewer (and our property test) expects.
 
 use crate::bus::ObsReport;
-use crate::event::{Event, Phase};
+use crate::event::Event;
+use crate::spans::{Attempt, Outcome, Spans, Step};
+use crate::{json_esc, name_or};
+use std::collections::BTreeMap;
 
 /// Human-readable labels the exporter joins back onto integer ids.
 #[derive(Debug, Clone, Default)]
@@ -20,39 +23,6 @@ pub struct ChromeLabels {
     pub task_names: Vec<String>,
     /// Node labels by node id (missing ids render as `w<id>`).
     pub node_names: Vec<String>,
-}
-
-impl ChromeLabels {
-    fn task(&self, id: u32) -> String {
-        self.task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
-    }
-
-    fn node(&self, id: u32) -> String {
-        self.node_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("w{id}"))
-    }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn us(t_nanos: u64) -> f64 {
@@ -64,19 +34,11 @@ const COUNTER_PID: u32 = 1;
 /// Sublane stride: lane id = node * STRIDE + sublane.
 const STRIDE: u32 = 256;
 
-#[derive(Debug, Clone, Copy)]
-struct OpenTask {
-    node: u32,
-    tid: u32,
-    start: u64,
-    phase: Option<(Phase, u64)>,
-}
-
 fn push_span(spans: &mut Vec<String>, name: &str, cat: &str, tid: u32, start: u64, end: u64) {
     spans.push(format!(
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
          \"ts\":{:.3},\"dur\":{:.3}}}",
-        esc(name),
+        json_esc(name),
         cat,
         WF_PID,
         tid,
@@ -85,133 +47,60 @@ fn push_span(spans: &mut Vec<String>, name: &str, cat: &str, tid: u32, start: u6
     ));
 }
 
-/// Claim the first free sublane of `node`, registering a lane label the
-/// first time a sublane is used.
-fn claim_lane(
-    busy: &mut Vec<Vec<bool>>,
-    lanes: &mut Vec<(u32, String)>,
-    labels: &ChromeLabels,
-    node: u32,
-) -> u32 {
-    let n = node as usize;
-    if busy.len() <= n {
-        busy.resize_with(n + 1, Vec::new);
-    }
-    let sub = match busy[n].iter().position(|&b| !b) {
-        Some(s) => s,
-        None => {
-            busy[n].push(false);
-            busy[n].len() - 1
-        }
-    };
-    busy[n][sub] = true;
-    let tid = node * STRIDE + sub as u32;
-    if !lanes.iter().any(|(t, _)| *t == tid) {
-        let name = if sub == 0 {
-            labels.node(node)
-        } else {
-            format!("{}+{}", labels.node(node), sub)
-        };
-        lanes.push((tid, name));
-    }
-    tid
-}
-
 /// Render the report as a Trace Event Format JSON document.
 pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
     let mut spans: Vec<String> = Vec::new();
     let mut instants: Vec<String> = Vec::new();
-    let mut lanes: Vec<(u32, String)> = Vec::new();
-    let mut busy: Vec<Vec<bool>> = Vec::new();
-    let mut open: Vec<Option<OpenTask>> = Vec::new();
+    // Lane id → label, registered the first time a sublane is used.
+    let mut lanes: BTreeMap<u32, String> = BTreeMap::new();
+    let mut attempts: Spans = Spans::new();
     let mut t_end: u64 = 0;
+
+    let tid = |a: &Attempt<()>| a.node * STRIDE + a.lane;
+    let mut on_step = |step: Step<'_, ()>| match step {
+        Step::Start(a) => {
+            lanes.entry(tid(a)).or_insert_with(|| {
+                let node = name_or(&labels.node_names, a.node, 'w');
+                match a.lane {
+                    0 => node,
+                    sub => format!("{node}+{sub}"),
+                }
+            });
+        }
+        Step::Phase(a, iv) => {
+            if let Some(p) = iv.phase {
+                push_span(&mut spans, p.label(), "phase", tid(a), iv.start, iv.end);
+            }
+        }
+        Step::End(a, outcome, end) => {
+            let cat = match outcome {
+                Outcome::Ok | Outcome::Unfinished => "task",
+                Outcome::Killed => "task-killed",
+                Outcome::Failed => "task-failed",
+            };
+            let name = name_or(&labels.task_names, a.task, 't');
+            push_span(&mut spans, &name, cat, tid(&a), a.start, end);
+        }
+    };
 
     for &(t, ev) in &report.events {
         t_end = t_end.max(t);
-        match ev {
-            Event::TaskStart { task, node, .. } => {
-                let ix = task as usize;
-                if open.len() <= ix {
-                    open.resize(ix + 1, None);
-                }
-                let tid = claim_lane(&mut busy, &mut lanes, labels, node);
-                open[ix] = Some(OpenTask {
-                    node,
-                    tid,
-                    start: t,
-                    phase: None,
-                });
-            }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(Some(o)) = open.get_mut(task as usize) {
-                    if let Some((p, p0)) = o.phase.take() {
-                        push_span(&mut spans, p.label(), "phase", o.tid, p0, t);
-                    }
-                    o.phase = Some((phase, t));
-                }
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some(o) = open.get_mut(task as usize).and_then(Option::take) {
-                    if let Some((p, p0)) = o.phase {
-                        push_span(&mut spans, p.label(), "phase", o.tid, p0, t);
-                    }
-                    let cat = match ev {
-                        Event::TaskEnd { .. } => "task",
-                        Event::TaskKilled { .. } => "task-killed",
-                        _ => "task-failed",
-                    };
-                    push_span(&mut spans, &labels.task(task), cat, o.tid, o.start, t);
-                    let sub = (o.tid % STRIDE) as usize;
-                    if let Some(b) = busy
-                        .get_mut(o.node as usize)
-                        .and_then(|row| row.get_mut(sub))
-                    {
-                        *b = false;
-                    }
-                }
-            }
-            Event::Fault { kind, node } => {
-                instants.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
-                     \"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-                    kind.label(),
-                    WF_PID,
-                    node * STRIDE,
-                    us(t),
-                ));
-            }
-            Event::NodeRecovered { node } => {
-                instants.push(format!(
-                    "{{\"name\":\"recovered\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
-                     \"pid\":{},\"tid\":{},\"ts\":{:.3}}}",
-                    WF_PID,
-                    node * STRIDE,
-                    us(t),
-                ));
-            }
-            _ => {}
-        }
+        attempts.apply(t, &ev, &mut on_step);
+        let (name, node) = match ev {
+            Event::Fault { kind, node } => (kind.label(), node),
+            Event::NodeRecovered { node } => ("recovered", node),
+            _ => continue,
+        };
+        instants.push(format!(
+            "{{\"name\":\"{name}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\
+             \"pid\":{WF_PID},\"tid\":{},\"ts\":{:.3}}}",
+            node * STRIDE,
+            us(t),
+        ));
     }
-
     // Any task still open at the end of the stream (e.g. a truncated
     // trace) closes at the last observed timestamp.
-    for (task, slot) in open.iter_mut().enumerate() {
-        if let Some(o) = slot.take() {
-            if let Some((p, p0)) = o.phase {
-                push_span(&mut spans, p.label(), "phase", o.tid, p0, t_end);
-            }
-            push_span(
-                &mut spans,
-                &labels.task(task as u32),
-                "task",
-                o.tid,
-                o.start,
-                t_end,
-            );
-        }
-    }
+    attempts.finish(t_end, &mut on_step);
 
     let mut parts: Vec<String> = Vec::new();
     parts.push(format!(
@@ -222,12 +111,11 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{COUNTER_PID},\"tid\":0,\
          \"args\":{{\"name\":\"counters\"}}}}"
     ));
-    lanes.sort_by_key(|(tid, _)| *tid);
     for (tid, name) in &lanes {
         parts.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{WF_PID},\"tid\":{tid},\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
+            json_esc(name)
         ));
         parts.push(format!(
             "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{WF_PID},\"tid\":{tid},\
@@ -247,7 +135,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
             parts.push(format!(
                 "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{COUNTER_PID},\"tid\":0,\
                  \"ts\":{:.3},\"args\":{{\"value\":{}}}}}",
-                esc(name),
+                json_esc(name),
                 us(t),
                 v,
             ));
@@ -264,6 +152,7 @@ pub fn chrome_trace(report: &ObsReport, labels: &ChromeLabels) -> String {
 mod tests {
     use super::*;
     use crate::bus::{ObsHandle, ObsLevel};
+    use crate::event::Phase;
 
     fn sample_report() -> ObsReport {
         let h = ObsHandle::new(ObsLevel::Full, 3);

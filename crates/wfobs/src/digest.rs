@@ -10,8 +10,19 @@
 
 use crate::event::Event;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// Fold `bytes` into an FNV-1a 64 state.
+#[inline]
+pub(crate) fn fnv_step(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(FNV_PRIME);
+    }
+    state
+}
 
 /// Incremental FNV-1a 64 hasher over `(time, event)` records.
 #[derive(Debug, Clone)]
@@ -32,25 +43,13 @@ impl RunDigest {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut s = self.state;
-        for &b in bytes {
-            s ^= u64::from(b);
-            s = s.wrapping_mul(FNV_PRIME);
-        }
-        self.state = s;
+        self.state = fnv_step(self.state, bytes);
     }
 
     /// Fold one timestamped event into the digest.
     pub fn absorb(&mut self, t_nanos: u64, ev: &Event) {
         self.write(&t_nanos.to_le_bytes());
-        ev.encode_into(&mut |b| {
-            let mut s = self.state;
-            for &byte in b {
-                s ^= u64::from(byte);
-                s = s.wrapping_mul(FNV_PRIME);
-            }
-            self.state = s;
-        });
+        ev.encode_into(&mut |b| self.state = fnv_step(self.state, b));
         self.count += 1;
     }
 

@@ -17,7 +17,9 @@
 //! task produce no line.
 
 use crate::bus::ObsReport;
-use crate::event::{Event, Phase};
+use crate::event::Phase;
+use crate::name_or;
+use crate::spans::{Spans, Step};
 use std::collections::BTreeMap;
 
 /// Map a lifecycle phase to the storage operation kind it times, if any.
@@ -43,53 +45,22 @@ const OP_ORDER: [&str; 5] = ["read", "write", "stage_in", "stage_out", "op_storm
 pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend: &str) -> String {
     // (op label, task id) -> accumulated nanos.
     let mut weights: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
-    // task id -> (current phase, phase start).
-    let mut open: BTreeMap<u32, (Option<Phase>, u64)> = BTreeMap::new();
-    let mut t_end = 0u64;
-
-    let close = |weights: &mut BTreeMap<(&'static str, u32), u64>,
-                 task: u32,
-                 slot: (Option<Phase>, u64),
-                 t: u64| {
-        if let (Some(phase), start) = slot {
-            if let Some(op) = phase_op(phase) {
-                *weights.entry((op, task)).or_insert(0) += t.saturating_sub(start);
+    let mut attempts: Spans = Spans::new();
+    let mut on_step = |step: Step<'_, ()>| {
+        if let Step::Phase(a, iv) = step {
+            if let Some(op) = iv.phase.and_then(phase_op) {
+                *weights.entry((op, a.task)).or_insert(0) += iv.end.saturating_sub(iv.start);
             }
         }
     };
-
+    let mut t_end = 0u64;
     for &(t, ev) in &report.events {
         t_end = t_end.max(t);
-        match ev {
-            Event::TaskStart { task, .. } => {
-                open.insert(task, (None, t));
-            }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(slot) = open.insert(task, (Some(phase), t)) {
-                    close(&mut weights, task, slot, t);
-                }
-            }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some(slot) = open.remove(&task) {
-                    close(&mut weights, task, slot, t);
-                }
-            }
-            _ => {}
-        }
+        attempts.apply(t, &ev, &mut on_step);
     }
     // A run that ended mid-task still accounts the open interval.
-    for (task, slot) in std::mem::take(&mut open) {
-        close(&mut weights, task, slot, t_end);
-    }
+    attempts.finish(t_end, &mut on_step);
 
-    let name = |id: u32| {
-        task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
-    };
     let mut out = String::new();
     for op in OP_ORDER {
         for (&(w_op, task), &nanos) in &weights {
@@ -100,7 +71,8 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
             if micros == 0 {
                 continue;
             }
-            out.push_str(&format!("{backend};{op};{} {micros}\n", name(task)));
+            let name = name_or(task_names, task, 't');
+            out.push_str(&format!("{backend};{op};{name} {micros}\n"));
         }
     }
     out
@@ -110,6 +82,7 @@ pub fn folded_storage_stacks(report: &ObsReport, task_names: &[String], backend:
 mod tests {
     use super::*;
     use crate::bus::{ObsHandle, ObsLevel};
+    use crate::event::Event;
 
     #[test]
     fn stacks_weight_storage_phases_only() {

@@ -6,9 +6,11 @@
 //! registry](metrics::Metrics), a [Chrome-trace exporter](chrome), an
 //! [OTLP/JSON exporter](otlp) with an in-repo conformance
 //! [decoder](otlp::decode), a [folded-stack flamegraph
-//! exporter](folded), and a [streaming run digest](digest::RunDigest)
-//! that turns "did this run replay byte-identically?" into a single
-//! `u64` comparison.
+//! exporter](folded), a live [terminal viewer](tui), and a [streaming run
+//! digest](digest::RunDigest) that turns "did this run replay
+//! byte-identically?" into a single `u64` comparison. The exporters and
+//! the viewer all draw task attempts, their sublanes and their phase
+//! intervals from one shared fold, [`spans`].
 //!
 //! Design rules (see DESIGN.md § Observability):
 //!
@@ -33,6 +35,7 @@ pub mod folded;
 pub mod metrics;
 pub mod otlp;
 pub mod sink;
+pub mod spans;
 pub mod tui;
 
 pub use bus::{nanos_from_secs, ObsHandle, ObsLevel, ObsReport, DEFAULT_TICK_NANOS};
@@ -47,3 +50,28 @@ pub use tui::{
     detect_live_mode, render_frame, term_size_from_env, FrameSink, LiveMode, LiveSink, NodeRate,
     TuiConfig, TuiState,
 };
+
+/// `names[id]`, or `prefix` followed by the id when the name is missing.
+pub(crate) fn name_or(names: &[String], id: u32, prefix: char) -> String {
+    names
+        .get(id as usize)
+        .cloned()
+        .unwrap_or_else(|| format!("{prefix}{id}"))
+}
+
+/// Escape a string for embedding in a JSON string literal.
+pub(crate) fn json_esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}

@@ -42,18 +42,11 @@
 //! checked end to end through real bytes.
 
 use crate::bus::ObsReport;
+use crate::digest::{fnv_step, FNV_OFFSET};
 use crate::event::{Event, OpKind, Phase};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_step(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
+use crate::spans::{Outcome, Spans, Step};
+use crate::{json_esc, name_or};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Human-readable labels and run metadata the exporter joins back onto
 /// the integer-id event stream. Everything here is optional: missing
@@ -89,22 +82,6 @@ pub struct SegmentLabel {
     pub spot: bool,
     /// Billed seconds from acquisition to release.
     pub secs: f64,
-}
-
-impl OtlpLabels {
-    fn task(&self, id: u32) -> String {
-        self.task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
-    }
-
-    fn node(&self, id: u32) -> String {
-        self.node_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("w{id}"))
-    }
 }
 
 /// A typed attribute value (the subset of OTLP `AnyValue` we emit).
@@ -209,18 +186,6 @@ fn op_event_name(op: OpKind) -> &'static str {
     }
 }
 
-/// Mapper state for one open task attempt.
-struct OpenAttempt {
-    span_ix: usize,
-    node: u32,
-    /// Occurrence ordinal of this attempt (counts `TaskStart`s).
-    ordinal: u64,
-    /// Currently open phase interval (`None` = dispatch overhead).
-    phase: Option<Phase>,
-    phase_start: u64,
-    phase_seq: u64,
-}
-
 /// Everything the span mapper produced.
 struct SpanForest {
     trace_hi: u64,
@@ -228,201 +193,155 @@ struct SpanForest {
     spans: Vec<SpanBuf>,
 }
 
-/// Close the task's open phase interval as a phase span.
-#[allow(clippy::too_many_arguments)]
-fn close_phase(spans: &mut Vec<SpanBuf>, ids: &IdGen, task: u32, att: &mut OpenAttempt, t: u64) {
-    let id = ids.span_id(
-        TAG_PHASE,
-        u64::from(task),
-        (att.ordinal << 16) | att.phase_seq,
-    );
-    let mut s = SpanBuf::new(
-        id,
-        spans[att.span_ix].id,
-        phase_label(att.phase).to_string(),
-        att.phase_start,
-    );
-    s.end = t;
-    s.attrs
-        .push(("wf.phase", Attr::Str(phase_label(att.phase).to_string())));
-    spans.push(s);
-    att.phase_seq += 1;
-    att.phase_start = t;
+/// What the task-attempt fold carries per attempt for the mapper: the
+/// task span's index and the attempt's occurrence ordinal (its
+/// `TaskStart` count).
+type TaskSpan = (usize, u64);
+
+/// The span mapper: node incarnations, ids and links around the shared
+/// task-attempt fold.
+struct Mapper<'a> {
+    ids: IdGen,
+    labels: &'a OtlpLabels,
+    spans: Vec<SpanBuf>,
+    /// Node → open incarnation span index.
+    inc_open: Vec<Option<usize>>,
+    /// Node → incarnations so far.
+    inc_seen: Vec<u64>,
+    /// Node → previous incarnation span id.
+    inc_prev: Vec<u64>,
+    /// Node → billing cursor into `labels.segments` (grouped by node).
+    seg_cursor: Vec<usize>,
+    /// Task → (attempts started so far, latest attempt span id).
+    starts: BTreeMap<u32, (u64, u64)>,
+    /// Tasks the rescue pass resubmitted whose rerun has not started.
+    rescue_pending: BTreeSet<u32>,
 }
 
-/// Build the span tree from the recorded event stream.
-fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
-    let ids = IdGen::new(report.seed, report.digest);
-    let (trace_hi, trace_lo) = ids.trace_id();
-    let mut spans: Vec<SpanBuf> = Vec::new();
+impl Mapper<'_> {
+    /// The open incarnation span of `node`, or the root.
+    fn node_span(&self, node: u32) -> usize {
+        self.inc_open
+            .get(node as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(0)
+    }
 
-    // Root span (index 0) — closed at the last observed timestamp.
-    let root_name = if labels.run_name.is_empty() {
-        "run".to_string()
-    } else {
-        format!("run {}", labels.run_name)
-    };
-    let root_id = ids.span_id(TAG_RUN, 0, 0);
-    let mut root = SpanBuf::new(root_id, 0, root_name, 0);
-    root.attrs.push(("wf.seed", Attr::I64(report.seed as i64)));
-    root.attrs
-        .push(("wf.digest", Attr::Str(format!("{:016x}", report.digest))));
-    root.attrs
-        .push(("wf.events", Attr::I64(report.events.len() as i64)));
-    root.status = 1;
-    spans.push(root);
-
-    // Per-node incarnation bookkeeping.
-    let mut inc_open: Vec<Option<usize>> = Vec::new(); // node -> open span ix
-    let mut inc_seen: Vec<u64> = Vec::new(); // node -> incarnations so far
-    let mut inc_prev: Vec<u64> = Vec::new(); // node -> previous incarnation span id
-                                             // Per-node billing cursor into `labels.segments` (grouped by node).
-    let mut seg_cursor: Vec<usize> = Vec::new();
-
-    // Per-task attempt bookkeeping (BTreeMap: end-of-stream closing must
-    // iterate deterministically).
-    let mut open_tasks: std::collections::BTreeMap<u32, OpenAttempt> =
-        std::collections::BTreeMap::new();
-    let mut starts_seen: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    let mut prev_attempt: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    let mut rescue_pending: std::collections::BTreeMap<u32, bool> =
-        std::collections::BTreeMap::new();
-
-    let grow = |v: &mut Vec<Option<usize>>, n: usize| {
-        if v.len() <= n {
-            v.resize(n + 1, None);
-        }
-    };
-
-    let mut t_end: u64 = 0;
-    for &(t, ev) in &report.events {
-        t_end = t_end.max(t);
-        match ev {
-            Event::SegmentOpen { node, spot } => {
-                let n = node as usize;
-                grow(&mut inc_open, n);
-                if inc_seen.len() <= n {
-                    inc_seen.resize(n + 1, 0);
-                    inc_prev.resize(n + 1, 0);
-                    seg_cursor.resize(n + 1, 0);
-                }
-                let ordinal = inc_seen[n];
-                inc_seen[n] += 1;
-                let id = ids.span_id(TAG_NODE, u64::from(node), ordinal);
-                let name = if ordinal == 0 {
-                    labels.node(node)
-                } else {
-                    format!("{} #{ordinal}", labels.node(node))
-                };
-                let mut s = SpanBuf::new(id, root_id, name, t);
-                s.attrs.push(("wf.node.id", Attr::I64(i64::from(node))));
-                s.attrs
-                    .push(("wf.node.incarnation", Attr::I64(ordinal as i64)));
-                s.attrs.push(("wf.node.spot", Attr::Bool(spot)));
-                // Pair the incarnation with its billed segment, in
-                // per-node order.
-                let mut skipped = seg_cursor[n];
-                for (i, seg) in labels.segments.iter().enumerate().skip(skipped) {
-                    if seg.node == node {
-                        s.attrs
-                            .push(("wf.billing.itype", Attr::Str(seg.itype.clone())));
-                        s.attrs.push(("wf.billing.spot", Attr::Bool(seg.spot)));
-                        s.attrs.push(("wf.billing.secs", Attr::F64(seg.secs)));
-                        skipped = i + 1;
-                        break;
-                    }
-                    skipped = i + 1;
-                }
-                seg_cursor[n] = skipped;
-                if ordinal > 0 {
-                    s.links.push((inc_prev[n], "previous_incarnation"));
-                }
-                s.status = 1;
-                inc_prev[n] = id;
-                inc_open[n] = Some(spans.len());
-                spans.push(s);
-            }
-            Event::SegmentClose { node } => {
-                let n = node as usize;
-                grow(&mut inc_open, n);
-                if let Some(ix) = inc_open[n].take() {
-                    spans[ix].end = t;
-                }
-            }
-            Event::TaskStart {
-                task,
-                node,
-                attempt,
-            } => {
-                let ordinal = {
-                    let c = starts_seen.entry(task).or_insert(0);
-                    let o = *c;
-                    *c += 1;
-                    o
-                };
-                let parent = inc_open
-                    .get(node as usize)
-                    .copied()
-                    .flatten()
-                    .map_or(root_id, |ix| spans[ix].id);
-                let id = ids.span_id(TAG_TASK, u64::from(task), ordinal);
-                let mut s = SpanBuf::new(id, parent, labels.task(task), t);
+    /// One step of the task-attempt fold; `wasted` is the killing
+    /// event's thrown-away work.
+    fn task_step(&mut self, step: Step<'_, TaskSpan>, wasted: Option<u64>) {
+        match step {
+            Step::Start(a) => {
+                let task = a.task;
+                let parent = self.spans[self.node_span(a.node)].id;
+                let (count, prev) = self.starts.entry(task).or_insert((0, 0));
+                let ordinal = *count;
+                *count += 1;
+                let id = self.ids.span_id(TAG_TASK, u64::from(task), ordinal);
+                let name = name_or(&self.labels.task_names, task, 't');
+                let mut s = SpanBuf::new(id, parent, name, a.start);
                 s.attrs.push(("wf.task.id", Attr::I64(i64::from(task))));
                 s.attrs
-                    .push(("wf.task.attempt", Attr::I64(i64::from(attempt))));
-                s.attrs.push(("wf.node.id", Attr::I64(i64::from(node))));
-                if let Some(prev) = prev_attempt.get(&task) {
-                    let kind = if rescue_pending.remove(&task).is_some() {
+                    .push(("wf.task.attempt", Attr::I64(i64::from(a.number))));
+                s.attrs.push(("wf.node.id", Attr::I64(i64::from(a.node))));
+                if ordinal > 0 {
+                    let kind = if self.rescue_pending.remove(&task) {
                         "rescue_rerun_of"
                     } else {
                         "retry_of"
                     };
                     s.links.push((*prev, kind));
                 }
-                prev_attempt.insert(task, id);
-                open_tasks.insert(
-                    task,
-                    OpenAttempt {
-                        span_ix: spans.len(),
-                        node,
-                        ordinal,
-                        phase: None,
-                        phase_start: t,
-                        phase_seq: 0,
-                    },
-                );
-                spans.push(s);
+                *prev = id;
+                a.data = (self.spans.len(), ordinal);
+                self.spans.push(s);
             }
-            Event::TaskPhase { task, phase, .. } => {
-                if let Some(att) = open_tasks.get_mut(&task) {
-                    close_phase(&mut spans, &ids, task, att, t);
-                    att.phase = Some(phase);
+            Step::Phase(a, iv) => {
+                let (ix, ordinal) = a.data;
+                let seq = (ordinal << 16) | u64::from(iv.seq);
+                let id = self.ids.span_id(TAG_PHASE, u64::from(a.task), seq);
+                let label = phase_label(iv.phase);
+                let mut s = SpanBuf::new(id, self.spans[ix].id, label.to_string(), iv.start);
+                s.end = iv.end;
+                s.attrs.push(("wf.phase", Attr::Str(label.to_string())));
+                self.spans.push(s);
+            }
+            Step::End(a, outcome, end) => {
+                let s = &mut self.spans[a.data.0];
+                s.end = end;
+                let (outcome, status) = match outcome {
+                    Outcome::Ok => ("ok", 1),
+                    Outcome::Killed => ("killed", 2),
+                    Outcome::Failed => ("failed", 2),
+                    Outcome::Unfinished => ("unfinished", s.status),
+                };
+                s.attrs
+                    .push(("wf.task.outcome", Attr::Str(outcome.to_string())));
+                s.status = status;
+                if let Some(w) = wasted {
+                    s.attrs.push(("wf.task.wasted_nanos", Attr::I64(w as i64)));
                 }
             }
-            Event::TaskEnd { task, .. }
-            | Event::TaskKilled { task, .. }
-            | Event::TaskFailed { task, .. } => {
-                if let Some(mut att) = open_tasks.remove(&task) {
-                    close_phase(&mut spans, &ids, task, &mut att, t);
-                    let s = &mut spans[att.span_ix];
-                    s.end = t;
-                    let (outcome, status) = match ev {
-                        Event::TaskEnd { .. } => ("ok", 1),
-                        Event::TaskKilled { .. } => ("killed", 2),
-                        _ => ("failed", 2),
-                    };
-                    s.attrs
-                        .push(("wf.task.outcome", Attr::Str(outcome.to_string())));
-                    s.status = status;
-                    if let Event::TaskKilled { wasted_nanos, .. } = ev {
+        }
+    }
+
+    /// Every event outside the task-attempt lifecycle.
+    fn event(&mut self, t: u64, ev: Event) {
+        let labels = self.labels;
+        match ev {
+            Event::SegmentOpen { node, spot } => {
+                let n = node as usize;
+                if self.inc_open.len() <= n {
+                    self.inc_open.resize(n + 1, None);
+                    self.inc_seen.resize(n + 1, 0);
+                    self.inc_prev.resize(n + 1, 0);
+                    self.seg_cursor.resize(n + 1, 0);
+                }
+                let ordinal = self.inc_seen[n];
+                self.inc_seen[n] += 1;
+                let id = self.ids.span_id(TAG_NODE, u64::from(node), ordinal);
+                let node_name = name_or(&labels.node_names, node, 'w');
+                let name = if ordinal == 0 {
+                    node_name
+                } else {
+                    format!("{node_name} #{ordinal}")
+                };
+                let mut s = SpanBuf::new(id, self.spans[0].id, name, t);
+                s.attrs.push(("wf.node.id", Attr::I64(i64::from(node))));
+                s.attrs
+                    .push(("wf.node.incarnation", Attr::I64(ordinal as i64)));
+                s.attrs.push(("wf.node.spot", Attr::Bool(spot)));
+                // Pair the incarnation with its billed segment, in
+                // per-node order.
+                let mut skipped = self.seg_cursor[n];
+                for (i, seg) in labels.segments.iter().enumerate().skip(skipped) {
+                    skipped = i + 1;
+                    if seg.node == node {
                         s.attrs
-                            .push(("wf.task.wasted_nanos", Attr::I64(wasted_nanos as i64)));
+                            .push(("wf.billing.itype", Attr::Str(seg.itype.clone())));
+                        s.attrs.push(("wf.billing.spot", Attr::Bool(seg.spot)));
+                        s.attrs.push(("wf.billing.secs", Attr::F64(seg.secs)));
+                        break;
                     }
+                }
+                self.seg_cursor[n] = skipped;
+                if ordinal > 0 {
+                    s.links.push((self.inc_prev[n], "previous_incarnation"));
+                }
+                s.status = 1;
+                self.inc_prev[n] = id;
+                self.inc_open[n] = Some(self.spans.len());
+                self.spans.push(s);
+            }
+            Event::SegmentClose { node } => {
+                if let Some(ix) = self.inc_open.get_mut(node as usize).and_then(Option::take) {
+                    self.spans[ix].end = t;
                 }
             }
             Event::StorageOp { op, node, bytes } => {
-                let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
-                spans[target].events.push((
+                let target = self.node_span(node);
+                self.spans[target].events.push((
                     t,
                     op_event_name(op),
                     vec![
@@ -432,24 +351,20 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                     ],
                 ));
             }
-            Event::CacheHit { node } => {
-                let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
-                spans[target].events.push((
+            Event::CacheHit { node } | Event::CacheMiss { node } => {
+                let name = match ev {
+                    Event::CacheHit { .. } => "cache.hit",
+                    _ => "cache.miss",
+                };
+                let target = self.node_span(node);
+                self.spans[target].events.push((
                     t,
-                    "cache.hit",
-                    vec![("wf.node.id", Attr::I64(i64::from(node)))],
-                ));
-            }
-            Event::CacheMiss { node } => {
-                let target = inc_open.get(node as usize).copied().flatten().unwrap_or(0);
-                spans[target].events.push((
-                    t,
-                    "cache.miss",
+                    name,
                     vec![("wf.node.id", Attr::I64(i64::from(node)))],
                 ));
             }
             Event::Fault { kind, node } => {
-                spans[0].events.push((
+                self.spans[0].events.push((
                     t,
                     "fault",
                     vec![
@@ -459,55 +374,88 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
                 ));
             }
             Event::FilesLost { count } => {
-                spans[0].events.push((
+                self.spans[0].events.push((
                     t,
                     "files_lost",
                     vec![("wf.files.count", Attr::I64(i64::from(count)))],
                 ));
             }
             Event::RescueResubmit { task } => {
-                rescue_pending.insert(task, true);
-                spans[0].events.push((
+                self.rescue_pending.insert(task);
+                self.spans[0].events.push((
                     t,
                     "rescue_resubmit",
                     vec![("wf.task.id", Attr::I64(i64::from(task)))],
                 ));
             }
             Event::NodeRecovered { node } => {
-                spans[0].events.push((
+                self.spans[0].events.push((
                     t,
                     "node_recovered",
                     vec![("wf.node.id", Attr::I64(i64::from(node)))],
                 ));
             }
-            // Flow- and queue-level events are metrics material, not spans.
+            // Task lifecycle events go through the fold; flow- and
+            // queue-level events are metrics material, not spans.
             _ => {}
         }
+    }
+}
+
+/// Build the span tree from the recorded event stream.
+fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
+    let ids = IdGen::new(report.seed, report.digest);
+    let (trace_hi, trace_lo) = ids.trace_id();
+
+    // Root span (index 0) — closed at the last observed timestamp.
+    let root_name = if labels.run_name.is_empty() {
+        "run".to_string()
+    } else {
+        format!("run {}", labels.run_name)
+    };
+    let mut root = SpanBuf::new(ids.span_id(TAG_RUN, 0, 0), 0, root_name, 0);
+    root.attrs.push(("wf.seed", Attr::I64(report.seed as i64)));
+    root.attrs
+        .push(("wf.digest", Attr::Str(format!("{:016x}", report.digest))));
+    root.attrs
+        .push(("wf.events", Attr::I64(report.events.len() as i64)));
+    root.status = 1;
+
+    let mut m = Mapper {
+        ids,
+        labels,
+        spans: vec![root],
+        inc_open: Vec::new(),
+        inc_seen: Vec::new(),
+        inc_prev: Vec::new(),
+        seg_cursor: Vec::new(),
+        starts: BTreeMap::new(),
+        rescue_pending: BTreeSet::new(),
+    };
+    let mut attempts: Spans<TaskSpan> = Spans::new();
+    let mut t_end: u64 = 0;
+    for &(t, ev) in &report.events {
+        t_end = t_end.max(t);
+        let wasted = match ev {
+            Event::TaskKilled { wasted_nanos, .. } => Some(wasted_nanos),
+            _ => None,
+        };
+        attempts.apply(t, &ev, |step| m.task_step(step, wasted));
+        m.event(t, ev);
     }
 
     // Close everything still open (a run that ended mid-fault, rescue
     // pending) at the last observed timestamp so intervals stay nested.
-    let open_left: Vec<u32> = open_tasks.keys().copied().collect();
-    for task in open_left {
-        let mut att = open_tasks.remove(&task).expect("key just listed");
-        close_phase(&mut spans, &ids, task, &mut att, t_end);
-        let s = &mut spans[att.span_ix];
-        s.end = t_end;
-        s.attrs
-            .push(("wf.task.outcome", Attr::Str("unfinished".to_string())));
-        let _ = att.node;
+    attempts.finish(t_end, |step| m.task_step(step, None));
+    for ix in m.inc_open.iter_mut().filter_map(Option::take) {
+        m.spans[ix].end = t_end;
     }
-    for slot in inc_open.iter_mut() {
-        if let Some(ix) = slot.take() {
-            spans[ix].end = t_end;
-        }
-    }
-    spans[0].end = t_end;
+    m.spans[0].end = t_end;
 
     SpanForest {
         trace_hi,
         trace_lo,
-        spans,
+        spans: m.spans,
     }
 }
 
@@ -515,28 +463,11 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
 // JSON rendering
 // ---------------------------------------------------------------------
 
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// OTLP `AnyValue` JSON. int64 values are decimal strings, per the
 /// proto3 JSON mapping OTLP/JSON uses.
 fn attr_value_json(v: &Attr) -> String {
     match v {
-        Attr::Str(s) => format!("{{\"stringValue\":\"{}\"}}", esc(s)),
+        Attr::Str(s) => format!("{{\"stringValue\":\"{}\"}}", json_esc(s)),
         Attr::I64(n) => format!("{{\"intValue\":\"{n}\"}}"),
         Attr::F64(f) => format!("{{\"doubleValue\":{f}}}"),
         Attr::Bool(b) => format!("{{\"boolValue\":{b}}}"),
@@ -603,7 +534,7 @@ fn span_json(s: &SpanBuf, trace_hi: u64, trace_lo: u64) -> String {
          \"name\":\"{}\",\"kind\":1,\"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\",\
          \"attributes\":{},\"events\":[{}],\"links\":[{}],\"status\":{{\"code\":{}}}}}",
         s.id,
-        esc(&s.name),
+        json_esc(&s.name),
         s.start,
         s.end,
         attrs_json(&s.attrs),
@@ -678,7 +609,7 @@ pub fn otlp_metrics(report: &ObsReport, labels: &OtlpLabels) -> String {
             .collect();
         metrics.push(format!(
             "{{\"name\":\"wf.{}\",\"gauge\":{{\"dataPoints\":[{}]}}}}",
-            esc(name),
+            json_esc(name),
             points.join(","),
         ));
     }

@@ -28,7 +28,9 @@ use std::io::Write;
 
 use crate::event::{Event, FaultKind, Phase};
 use crate::metrics::Metrics;
+use crate::name_or;
 use crate::sink::ObsSink;
+use crate::spans::{Attempt, Outcome, Spans, Step};
 
 /// Most fault-ticker entries kept.
 const TICKER_CAP: usize = 64;
@@ -93,26 +95,11 @@ struct Seg {
     ch: u8,
 }
 
-/// The open stretch of a sublane: a task attempt in some phase.
-#[derive(Debug, Clone, Copy)]
-struct Cur {
-    start: u64,
-    ch: u8,
-    task: u32,
-    attempt: u32,
-}
-
-/// One task-attempt sublane of a node's Gantt row.
-#[derive(Debug, Default)]
-struct Lane {
-    segs: VecDeque<Seg>,
-    cur: Option<Cur>,
-}
-
-/// Per-node Gantt state.
+/// Per-node Gantt state: the closed stretches of each task-attempt
+/// sublane (the open ones live in the shared fold).
 #[derive(Debug, Default)]
 struct NodeLanes {
-    lanes: Vec<Lane>,
+    lanes: Vec<VecDeque<Seg>>,
     /// Closed down-intervals plus the open one, pruned like segments.
     down: VecDeque<(u64, Option<u64>)>,
 }
@@ -136,6 +123,8 @@ pub struct TuiState {
     closed_cents: u64,
     /// Open billing segments: node id → (opened-at, spot).
     open_segments: BTreeMap<u32, (u64, bool)>,
+    /// Open task attempts and the sublanes they hold.
+    attempts: Spans,
     nodes: BTreeMap<u32, NodeLanes>,
     ticker: VecDeque<(u64, String)>,
     bytes_since_tick: u64,
@@ -144,28 +133,15 @@ pub struct TuiState {
     last_tick: Option<u64>,
 }
 
-fn phase_char(p: Phase) -> u8 {
+fn phase_char(p: Option<Phase>) -> u8 {
     match p {
-        Phase::Ops => b':',
-        Phase::StageIn => b'i',
-        Phase::Read => b'r',
-        Phase::Compute => b'#',
-        Phase::Write => b'w',
-        Phase::StageOut => b'o',
-    }
-}
-
-fn phase_name(ch: u8) -> &'static str {
-    match ch {
-        b'.' => "dispatch",
-        b':' => "ops",
-        b'i' => "stage-in",
-        b'r' => "read",
-        b'#' => "compute",
-        b'w' => "write",
-        b'o' => "stage-out",
-        b'x' => "killed",
-        _ => "",
+        None => b'.',
+        Some(Phase::Ops) => b':',
+        Some(Phase::StageIn) => b'i',
+        Some(Phase::Read) => b'r',
+        Some(Phase::Compute) => b'#',
+        Some(Phase::Write) => b'w',
+        Some(Phase::StageOut) => b'o',
     }
 }
 
@@ -181,6 +157,7 @@ impl TuiState {
             ready_depth: 0,
             closed_cents: 0,
             open_segments: BTreeMap::new(),
+            attempts: Spans::new(),
             nodes: BTreeMap::new(),
             ticker: VecDeque::new(),
             bytes_since_tick: 0,
@@ -235,19 +212,11 @@ impl TuiState {
     }
 
     fn task_name(&self, id: u32) -> String {
-        self.cfg
-            .task_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("t{id}"))
+        name_or(&self.cfg.task_names, id, 't')
     }
 
     fn node_name(&self, id: u32) -> String {
-        self.cfg
-            .node_names
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("n{id}"))
+        name_or(&self.cfg.node_names, id, 'n')
     }
 
     fn push_ticker(&mut self, t: u64, msg: String) {
@@ -257,72 +226,42 @@ impl TuiState {
         self.ticker.push_back((t, msg));
     }
 
-    fn lane_close(&mut self, node: u32, task: u32, t: u64, kill_ch: Option<u8>) {
-        if let Some(nl) = self.nodes.get_mut(&node) {
-            for lane in &mut nl.lanes {
-                if lane.cur.is_some_and(|c| c.task == task) {
-                    let c = lane.cur.take().expect("checked");
-                    lane.segs.push_back(Seg {
-                        start: c.start,
-                        end: t,
-                        ch: kill_ch.unwrap_or(c.ch),
-                    });
-                    return;
-                }
-            }
-        }
-    }
-
     /// Fold one event into the model. Pure sim-time; no I/O.
     pub fn apply(&mut self, t: u64, ev: &Event) {
         self.now = self.now.max(t);
+        let nodes = &mut self.nodes;
+        self.attempts.apply(t, ev, |step| {
+            let (node, lane) = match &step {
+                Step::Start(a) | Step::Phase(a, _) => (a.node, a.lane as usize),
+                Step::End(a, ..) => (a.node, a.lane as usize),
+            };
+            let lanes = &mut nodes.entry(node).or_default().lanes;
+            if lanes.len() <= lane {
+                lanes.resize_with(lane + 1, VecDeque::new);
+            }
+            let segs = &mut lanes[lane];
+            match step {
+                Step::Phase(_, iv) => segs.push_back(Seg {
+                    start: iv.start,
+                    end: iv.end,
+                    ch: phase_char(iv.phase),
+                }),
+                // A killed or failed attempt repaints its last stretch.
+                Step::End(_, Outcome::Killed | Outcome::Failed, _) => {
+                    if let Some(last) = segs.back_mut() {
+                        last.ch = b'x';
+                    }
+                }
+                Step::Start(_) | Step::End(..) => {}
+            }
+        });
         match *ev {
-            Event::TaskStart {
-                task,
-                node,
-                attempt,
-            } => {
+            Event::TaskStart { attempt, .. } => {
                 if attempt > 0 {
                     self.retries += 1;
                 }
-                let nl = self.nodes.entry(node).or_default();
-                let lane = match nl.lanes.iter_mut().position(|l| l.cur.is_none()) {
-                    Some(i) => &mut nl.lanes[i],
-                    None => {
-                        nl.lanes.push(Lane::default());
-                        nl.lanes.last_mut().expect("just pushed")
-                    }
-                };
-                lane.cur = Some(Cur {
-                    start: t,
-                    ch: b'.',
-                    task,
-                    attempt,
-                });
             }
-            Event::TaskPhase { task, node, phase } => {
-                if let Some(nl) = self.nodes.get_mut(&node) {
-                    for lane in &mut nl.lanes {
-                        if let Some(c) = &mut lane.cur {
-                            if c.task == task {
-                                let closed = Seg {
-                                    start: c.start,
-                                    end: t,
-                                    ch: c.ch,
-                                };
-                                lane.segs.push_back(closed);
-                                c.start = t;
-                                c.ch = phase_char(phase);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Event::TaskEnd { task, node, .. } => {
-                self.done += 1;
-                self.lane_close(node, task, t, None);
-            }
+            Event::TaskEnd { .. } => self.done += 1,
             Event::TaskKilled { task, node, .. } => {
                 let msg = format!(
                     "task {} killed on {}",
@@ -330,7 +269,6 @@ impl TuiState {
                     self.node_name(node)
                 );
                 self.push_ticker(t, msg);
-                self.lane_close(node, task, t, Some(b'x'));
             }
             Event::TaskFailed { task, node } => {
                 let msg = format!(
@@ -339,7 +277,6 @@ impl TuiState {
                     self.node_name(node)
                 );
                 self.push_ticker(t, msg);
-                self.lane_close(node, task, t, Some(b'x'));
             }
             Event::ReadyDepth { depth } => self.ready_depth = depth,
             Event::StorageOp { bytes, .. } => self.bytes_since_tick += bytes,
@@ -379,8 +316,10 @@ impl TuiState {
                     self.closed_cents += self.segment_cents(node, open, t, spot);
                 }
             }
-            // Flow- and cache-level events carry no widget today.
-            Event::TaskReady { .. }
+            // Phase marks only move the fold; flow- and cache-level
+            // events carry no widget today.
+            Event::TaskPhase { .. }
+            | Event::TaskReady { .. }
             | Event::FlowStart { .. }
             | Event::FlowRes { .. }
             | Event::FlowEnd { .. }
@@ -412,10 +351,10 @@ impl TuiState {
         let horizon = self
             .now
             .saturating_sub(crate::nanos_from_secs(self.cfg.window_secs));
-        for nl in self.nodes.values_mut() {
+        for (&node, nl) in &mut self.nodes {
             for lane in &mut nl.lanes {
-                while lane.segs.front().is_some_and(|s| s.end < horizon) {
-                    lane.segs.pop_front();
+                while lane.front().is_some_and(|s| s.end < horizon) {
+                    lane.pop_front();
                 }
             }
             while nl
@@ -425,11 +364,12 @@ impl TuiState {
             {
                 nl.down.pop_front();
             }
-            while nl
-                .lanes
-                .last()
-                .is_some_and(|l| l.cur.is_none() && l.segs.is_empty())
-                && nl.lanes.len() > 1
+            while nl.lanes.len() > 1
+                && nl.lanes.last().is_some_and(VecDeque::is_empty)
+                && self
+                    .attempts
+                    .on_lane(node, nl.lanes.len() as u32 - 1)
+                    .is_none()
             {
                 nl.lanes.pop();
             }
@@ -575,12 +515,12 @@ pub fn render_frame(state: &TuiState, cols: usize, rows: usize) -> String {
             ),
             cols,
         ));
-        let empty_lane = Lane::default();
+        let empty_lane = VecDeque::new();
         for (&node, nl) in &state.nodes {
             let name = state.node_name(node);
             // A node with no task lanes yet still gets one row, so
             // down-bands ('~') show for idle crashed nodes.
-            let lanes: &[Lane] = if nl.lanes.is_empty() {
+            let lanes: &[VecDeque<Seg>] = if nl.lanes.is_empty() {
                 std::slice::from_ref(&empty_lane)
             } else {
                 &nl.lanes
@@ -592,13 +532,14 @@ pub fn render_frame(state: &TuiState, cols: usize, rows: usize) -> String {
                 } else {
                     name.clone()
                 };
-                let band = render_band(lane, nl, t0, now, band_w);
-                let right = match lane.cur {
-                    Some(c) => format!(
+                let cur = state.attempts.on_lane(node, li as u32);
+                let band = render_band(lane, cur, nl, t0, now, band_w);
+                let right = match cur {
+                    Some(a) => format!(
                         " {}:{} {}",
-                        state.task_name(c.task),
-                        c.attempt,
-                        phase_name(c.ch)
+                        state.task_name(a.task),
+                        a.number,
+                        a.phase.map_or("dispatch", Phase::label)
                     ),
                     None if nl.is_down() => " down".to_owned(),
                     None => String::new(),
@@ -641,26 +582,31 @@ pub fn render_frame(state: &TuiState, cols: usize, rows: usize) -> String {
 }
 
 /// Paint one sublane band over `[t0, now]`: each column shows the phase
-/// char of the segment covering its midpoint, `~` where the node was
-/// down, space where idle.
-fn render_band(lane: &Lane, nl: &NodeLanes, t0: u64, now: u64, w: usize) -> String {
+/// char of the segment (or of `cur`, the attempt holding the lane)
+/// covering its midpoint, `~` where the node was down, space where idle.
+fn render_band(
+    segs: &VecDeque<Seg>,
+    cur: Option<&Attempt<()>>,
+    nl: &NodeLanes,
+    t0: u64,
+    now: u64,
+    w: usize,
+) -> String {
     let mut out = String::with_capacity(w);
     let span = (now - t0).max(1);
     for c in 0..w {
         // Bucket midpoint, computed in u128 to dodge overflow on long runs.
         let mid = t0 + ((span as u128 * (2 * c as u128 + 1)) / (2 * w as u128)) as u64;
         let mut ch = b' ';
-        for s in &lane.segs {
+        for s in segs {
             if s.start <= mid && mid < s.end {
                 ch = s.ch;
                 break;
             }
         }
         if ch == b' ' {
-            if let Some(cur) = lane.cur {
-                if cur.start <= mid {
-                    ch = cur.ch;
-                }
+            if let Some(a) = cur.filter(|a| a.phase_start <= mid) {
+                ch = phase_char(a.phase);
             }
         }
         if ch == b' '
@@ -1036,7 +982,7 @@ mod tests {
             s.tick(sec(t0 + 1.5));
         }
         let lanes = &s.nodes[&0].lanes;
-        let total: usize = lanes.iter().map(|l| l.segs.len()).sum();
+        let total: usize = lanes.iter().map(VecDeque::len).sum();
         assert!(total < 20, "pruned to the window, got {total}");
     }
 
