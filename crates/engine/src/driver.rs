@@ -79,6 +79,11 @@ pub(crate) fn mark_ready(sim: &mut Sim<World>, world: &mut World, task: TaskId) 
 
 /// One matchmaking cycle: dispatch every queued job (within the backfill
 /// window) that fits on some node.
+///
+/// Only the first `BACKFILL_WINDOW` queued jobs are examined, in queue
+/// order; dispatched ones leave the queue and the rest keep their places.
+/// Jobs beyond the window are never moved, so a cycle costs O(window),
+/// not O(queue).
 pub fn try_dispatch(sim: &mut Sim<World>, world: &mut World) {
     if let Some(t) = world.stall_until {
         // Storage is down and every client call hangs: nothing dispatches
@@ -88,25 +93,20 @@ pub fn try_dispatch(sim: &mut Sim<World>, world: &mut World) {
         }
         world.stall_until = None;
     }
-    let mut examined = 0;
     let mut dispatched = 0u32;
-    let mut kept = std::collections::VecDeque::new();
-    while let Some(task) = world.ready.pop_front() {
-        if examined >= BACKFILL_WINDOW {
-            kept.push_back(task);
-            continue;
-        }
-        examined += 1;
+    let mut pos = 0;
+    for _ in 0..world.ready.len().min(BACKFILL_WINDOW) {
+        let task = world.ready[pos];
         match world.pick_node(task) {
             Some(i) => {
+                world.ready.remove(pos);
                 dispatch(sim, world, task, i);
                 dispatched += 1;
             }
-            None => kept.push_back(task),
+            None => pos += 1,
         }
     }
-    world.ready = kept;
-    // Re-sample queue depth after the drain, so depth decreases are
+    // Re-sample queue depth after the cycle, so depth decreases are
     // observable too (live ready-depth widgets track both edges).
     if dispatched > 0 {
         world.obs.emit(Event::ReadyDepth {
@@ -425,4 +425,133 @@ fn job_done(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
 /// The workflow makespan (§V): first submission to last completion.
 pub fn makespan(world: &World) -> Option<SimTime> {
     world.finished_at
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RunConfig;
+    use std::collections::VecDeque;
+    use vcluster::Cluster;
+    use wfdag::WorkflowBuilder;
+    use wfobs::{ObsHandle, ObsLevel};
+    use wfstorage::{build_storage, cluster_spec_for, StorageConfigs, StorageKind};
+
+    const TASKS: u32 = 200;
+    const INITIALLY_READY: u32 = 150;
+
+    /// Reference matchmaking cycle: drain the whole queue, examine its
+    /// first `BACKFILL_WINDOW` tasks, and rebuild it from the unplaced
+    /// ones followed by the tail.
+    fn full_drain_dispatch(sim: &mut Sim<World>, world: &mut World) {
+        let mut examined = 0;
+        let mut dispatched = 0u32;
+        let mut kept = VecDeque::new();
+        while let Some(task) = world.ready.pop_front() {
+            if examined >= BACKFILL_WINDOW {
+                kept.push_back(task);
+                continue;
+            }
+            examined += 1;
+            match world.pick_node(task) {
+                Some(i) => {
+                    dispatch(sim, world, task, i);
+                    dispatched += 1;
+                }
+                None => kept.push_back(task),
+            }
+        }
+        world.ready = kept;
+        if dispatched > 0 {
+            world.obs.emit(Event::ReadyDepth {
+                depth: world.ready.len() as u32,
+            });
+        }
+    }
+
+    /// Two c1.xlarge workers (8 slots, 6.3 GiB schedulable each) and
+    /// independent tasks: inside the first window seven in eight need
+    /// 5 GiB, so at most one fits per node; everything else needs 64 MiB.
+    fn world(sim: &mut Sim<World>) -> World {
+        let cfg = RunConfig::cell(StorageKind::GlusterNufa, 2);
+        let spec = cluster_spec_for(cfg.storage, cfg.workers, None);
+        let cluster = Cluster::provision(sim, &spec);
+        let storage = build_storage(cfg.storage, sim, &cluster, &StorageConfigs::default());
+        let mut b = WorkflowBuilder::new("backfill");
+        for i in 0..TASKS {
+            let big = (i as usize) < BACKFILL_WINDOW && i % 8 != 0;
+            let mem = if big { 5 << 30 } else { 64 << 20 };
+            let f = b.file(format!("o{i}"), 1000);
+            b.task(format!("t{i}"), "x", 1.0, mem, vec![], vec![f]);
+        }
+        let mut w = World::new(b.build().unwrap(), cluster, storage, cfg);
+        w.obs = ObsHandle::new(ObsLevel::Full, 1);
+        w
+    }
+
+    fn fits_somewhere(world: &World, task: TaskId) -> bool {
+        let need = world.wf.task(task).peak_mem;
+        world
+            .node_sched
+            .iter()
+            .any(|s| s.free_slots > 0 && s.free_mem >= need)
+    }
+
+    /// With more than a window of ready tasks, unplaceable tasks inside
+    /// the window and placeable ones beyond it, every cycle leaves the
+    /// queue exactly as the full drain did, and the event streams
+    /// (`TaskStart` order and `ReadyDepth` values included) are equal.
+    #[test]
+    fn window_dispatch_matches_full_drain() {
+        let (mut sim_a, mut sim_b) = (Sim::new(), Sim::new());
+        let (mut a, mut b) = (world(&mut sim_a), world(&mut sim_b));
+        for t in 0..INITIALLY_READY {
+            mark_ready(&mut sim_a, &mut a, TaskId(t));
+            mark_ready(&mut sim_b, &mut b, TaskId(t));
+        }
+        let mut next = INITIALLY_READY;
+        let mut tail_left_placeable = false;
+        for round in 0..400 {
+            try_dispatch(&mut sim_a, &mut a);
+            full_drain_dispatch(&mut sim_b, &mut b);
+            assert_eq!(a.ready, b.ready, "ready queue differs after cycle {round}");
+            tail_left_placeable |= b
+                .ready
+                .iter()
+                .skip(BACKFILL_WINDOW)
+                .any(|&t| fits_somewhere(&b, t));
+            if b.ready.is_empty() && next == TASKS {
+                break;
+            }
+            // Finish the oldest task on every worker and release one
+            // more task into the queue.
+            for w in [&mut a, &mut b] {
+                for i in 0..w.running.len() {
+                    if !w.running[i].is_empty() {
+                        let t = w.running[i].remove(0);
+                        w.release(i, t);
+                    }
+                }
+            }
+            if next < TASKS {
+                mark_ready(&mut sim_a, &mut a, TaskId(next));
+                mark_ready(&mut sim_b, &mut b, TaskId(next));
+                next += 1;
+            }
+        }
+        assert!(a.ready.is_empty(), "every task dispatched");
+        assert!(
+            tail_left_placeable,
+            "some cycle must leave a placeable task beyond the window"
+        );
+        let (ea, eb) = (a.obs.take_report().unwrap(), b.obs.take_report().unwrap());
+        let starts = |r: &wfobs::ObsReport| {
+            r.events
+                .iter()
+                .filter(|(_, e)| matches!(e, Event::TaskStart { .. }))
+                .count()
+        };
+        assert_eq!(starts(&ea), TASKS as usize);
+        assert_eq!(ea.events, eb.events);
+    }
 }

@@ -273,7 +273,12 @@ fn cmd_run(args: &Args) {
             rows,
         )));
     }
-    match run_workflow_with_obs(wf, cfg, obs) {
+    let started = std::time::Instant::now();
+    let result = run_workflow_with_obs(wf, cfg, obs);
+    // Host time of the simulation itself; reported on stderr only, so
+    // stdout, the digest and every export stay deterministic.
+    let wall = started.elapsed().as_secs_f64();
+    match result {
         Ok(stats) => {
             println!(
                 "makespan {:.1}s  events {}  retries {}  io-fraction {:.1}%",
@@ -339,7 +344,8 @@ fn cmd_run(args: &Args) {
                 println!("run digest {d:016x}");
             }
             // One-line machine-greppable summary on stderr, so runs
-            // without exporters aren't silent.
+            // without exporters aren't silent. It ends with the run's
+            // own host cost: wall time and simulated events per second.
             let cost = CostModel::default()
                 .segments_cents(&stats.faults.segments, BillingGranularity::PerHour)
                 / 100.0;
@@ -349,8 +355,10 @@ fn cmd_run(args: &Args) {
                 .digest
                 .map_or_else(|| "-".to_owned(), |d| format!("{d:016x}"));
             eprintln!(
-                "wfsim: makespan {:.1}s cost ${cost:.2} digest {digest} faults {fault_count}",
-                stats.makespan_secs
+                "wfsim: makespan {:.1}s cost ${cost:.2} digest {digest} faults {fault_count} \
+                 wall {wall:.3}s events/s {:.0}",
+                stats.makespan_secs,
+                stats.events as f64 / wall.max(1e-9)
             );
         }
         Err(e) => die(&format!("run failed: {e}")),

@@ -1,7 +1,12 @@
 //! A byte-budgeted LRU set of files, used for the NFS server page cache
 //! and other whole-file caches.
+//!
+//! Every `touch` and `insert` takes a fresh value of a monotone stamp, so
+//! the resident entries' last-use stamps are unique. An index ordered by
+//! stamp therefore yields victims in exactly the order of a scan for the
+//! minimum `(stamp, file)` pair, at O(log n) per lookup or eviction.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wfdag::FileId;
 
 /// Tracks which files are resident in a cache of fixed byte capacity,
@@ -12,6 +17,7 @@ pub struct LruBytes {
     used: u64,
     stamp: u64,
     entries: HashMap<FileId, (u64, u64)>, // file -> (bytes, last-use stamp)
+    by_stamp: BTreeMap<u64, FileId>,      // eviction order: oldest stamp first
 }
 
 impl LruBytes {
@@ -22,6 +28,7 @@ impl LruBytes {
             used: 0,
             stamp: 0,
             entries: HashMap::new(),
+            by_stamp: BTreeMap::new(),
         }
     }
 
@@ -50,15 +57,22 @@ impl LruBytes {
         self.entries.contains_key(&file)
     }
 
-    /// Look up `file`, refreshing its recency on a hit.
+    /// Look up `file`, refreshing its recency on a hit. A miss still
+    /// consumes a stamp.
     pub fn touch(&mut self, file: FileId) -> bool {
         self.stamp += 1;
-        if let Some(e) = self.entries.get_mut(&file) {
-            e.1 = self.stamp;
-            true
-        } else {
-            false
-        }
+        self.refresh(file)
+    }
+
+    /// Move a resident `file` to the current stamp; false if absent.
+    fn refresh(&mut self, file: FileId) -> bool {
+        let Some(e) = self.entries.get_mut(&file) else {
+            return false;
+        };
+        self.by_stamp.remove(&e.1);
+        e.1 = self.stamp;
+        self.by_stamp.insert(self.stamp, file);
+        true
     }
 
     /// Insert `file` of `bytes`, evicting LRU entries as needed. Files
@@ -66,29 +80,23 @@ impl LruBytes {
     /// file ids.
     pub fn insert(&mut self, file: FileId, bytes: u64) -> Vec<FileId> {
         self.stamp += 1;
-        if let Some(e) = self.entries.get_mut(&file) {
-            // Write-once workloads never change a file's size.
-            e.1 = self.stamp;
-            return Vec::new();
-        }
-        if bytes > self.capacity {
+        // Write-once workloads never change a file's size, so a resident
+        // file only has its recency refreshed.
+        if self.refresh(file) || bytes > self.capacity {
             return Vec::new();
         }
         let mut evicted = Vec::new();
         while self.used + bytes > self.capacity {
-            // O(n) LRU scan: caches hold at most tens of thousands of
-            // entries and evictions are rare at these workload sizes.
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(id, (_, st))| (*st, **id))
-                .map(|(id, _)| *id)
+            let (_, victim) = self
+                .by_stamp
+                .pop_first()
                 .expect("over budget implies non-empty");
             let (vbytes, _) = self.entries.remove(&victim).expect("victim resident");
             self.used -= vbytes;
             evicted.push(victim);
         }
         self.entries.insert(file, (bytes, self.stamp));
+        self.by_stamp.insert(self.stamp, file);
         self.used += bytes;
         evicted
     }
