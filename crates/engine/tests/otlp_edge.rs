@@ -3,8 +3,10 @@
 //! node not yet up). Each must still produce a parseable, single-rooted
 //! OTLP document and a stable digest.
 
+#[path = "../../wfobs/tests/otlp_check/mod.rs"]
+mod otlp_check;
+
 use wfengine::{run_workflow, RunConfig, RunStats};
-use wfobs::otlp::decode;
 use wfobs::{Event, FaultKind, ObsHandle, ObsLevel, OpKind, OtlpLabels, Phase};
 use wfstorage::StorageKind;
 
@@ -27,8 +29,8 @@ fn zero_task_dag_exports_single_rooted_trace() {
     assert_eq!(stats.tasks, 0);
 
     let json = export(&stats, &wf, 2);
-    let trace = decode::trace(&json).expect("decodes");
-    decode::check_well_formed(&trace).expect("well-formed");
+    let trace = otlp_check::trace(&json).expect("decodes");
+    otlp_check::check_well_formed(&trace).expect("well-formed");
     assert!(
         trace
             .spans
@@ -58,8 +60,8 @@ fn single_node_cluster_exports_well_formed_trace() {
     let stats = run_workflow(wf.clone(), cfg).expect("single-node run succeeds");
 
     let json = export(&stats, &wf, 1);
-    let trace = decode::trace(&json).expect("decodes");
-    decode::check_well_formed(&trace).expect("well-formed");
+    let trace = otlp_check::trace(&json).expect("decodes");
+    otlp_check::check_well_formed(&trace).expect("well-formed");
     let ok = trace
         .spans
         .iter()
@@ -127,8 +129,8 @@ fn stream_ending_mid_fault_still_exports() {
 
     let report = build();
     let json = wfobs::otlp_trace(&report, &OtlpLabels::default());
-    let trace = decode::trace(&json).expect("decodes");
-    decode::check_well_formed(&trace).expect("well-formed mid-fault");
+    let trace = otlp_check::trace(&json).expect("decodes");
+    otlp_check::check_well_formed(&trace).expect("well-formed mid-fault");
 
     let unfinished: Vec<_> = trace
         .spans

@@ -2,9 +2,9 @@
 //! DAGs, storage kinds, cluster sizes, seeds and fault plans, the
 //! exported `ExportTraceServiceRequest` must
 //!
-//! 1. decode with the in-repo OTLP reader and pass the well-formedness
-//!    check (single root, parents resolve, child intervals nest inside
-//!    parents, unique non-zero span ids, one trace id),
+//! 1. parse with the shared OTLP checker and pass its well-formedness
+//!    check (single root, parents and links resolve, child intervals
+//!    nest inside parents, unique non-zero span ids, one trace id),
 //! 2. re-export byte-identically (the determinism contract), with trace
 //!    and span ids derived from the run digest stream — so a different
 //!    seed moves every id,
@@ -14,10 +14,12 @@
 //! Both properties also check that the recorded event stream itself is
 //! attempt-well-formed, the shape every span exporter relies on.
 
+#[path = "../../wfobs/tests/otlp_check/mod.rs"]
+mod otlp_check;
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use wfengine::{run_workflow, FaultPlan, NodeCrashSpec, RunConfig, RunStats};
-use wfobs::otlp::decode;
 use wfobs::{Event, ObsLevel};
 use wfstorage::StorageKind;
 
@@ -159,8 +161,8 @@ proptest! {
         let stats = run(&tasks, kind_ix, workers, seed, None);
         prop_assert_eq!(attempt_well_formed(&stats), Ok(()));
         let (trace_json, metrics_json) = export(&stats, &tasks, kind_ix, workers);
-        let trace = decode::trace(&trace_json).expect("trace decodes");
-        decode::check_well_formed(&trace).expect("well-formed span tree");
+        let trace = otlp_check::trace(&trace_json).expect("trace decodes");
+        otlp_check::check_well_formed(&trace).expect("well-formed span tree");
 
         // Every successful task contributes exactly one `ok` attempt span.
         let ok_spans = trace
@@ -181,7 +183,7 @@ proptest! {
         // Ids derive from the digest stream: a different seed moves them.
         let other = run(&tasks, kind_ix, workers, seed + 1, None);
         let (other_trace, _) = export(&other, &tasks, kind_ix, workers);
-        let other = decode::trace(&other_trace).expect("trace decodes");
+        let other = otlp_check::trace(&other_trace).expect("trace decodes");
         prop_assert!(
             trace.spans[0].trace_id != other.spans[0].trace_id,
             "seed change must move the trace id"
@@ -189,14 +191,11 @@ proptest! {
 
         // The metrics document shares the resource block and round-trips
         // the full counter registry.
-        let metrics = decode::metrics(&metrics_json).expect("metrics decode");
+        let metrics = otlp_check::metrics(&metrics_json).expect("metrics decode");
         prop_assert_eq!(&metrics.resource, &trace.resource);
         let report = stats.obs.as_ref().unwrap();
         for (name, v) in report.metrics.counters() {
-            let exported = metrics.metrics.iter().find_map(|m| match m {
-                decode::Metric::Sum(n, val) if n == &format!("wf.{name}") => Some(*val),
-                _ => None,
-            });
+            let exported = metrics.sum(&format!("wf.{name}"));
             prop_assert_eq!(exported, Some(v as i64), "counter {} lost", name);
         }
     }
@@ -225,8 +224,8 @@ proptest! {
         let stats = run(&tasks, kind_ix, workers, seed, Some(plan.clone()));
         prop_assert_eq!(attempt_well_formed(&stats), Ok(()));
         let (trace_json, _) = export(&stats, &tasks, kind_ix, workers);
-        let trace = decode::trace(&trace_json).expect("trace decodes");
-        decode::check_well_formed(&trace).expect("well-formed under faults");
+        let trace = otlp_check::trace(&trace_json).expect("trace decodes");
+        otlp_check::check_well_formed(&trace).expect("well-formed under faults");
 
         if stats.faults.node_crashes > 0 {
             let root = trace

@@ -6,13 +6,15 @@
 //! paper application and storage kind, and under node-crash and
 //! spot-market churn where the billing is segment-per-incarnation.
 
+#[path = "../../wfobs/tests/otlp_check/mod.rs"]
+mod otlp_check;
+
 use wfcost::{BillingGranularity, CostModel};
 use wfengine::{
     phase_breakdown_from_bus, run_workflow, FaultPlan, NodeCrashSpec, PhaseBreakdown, RunConfig,
     RunStats, SpotSpec,
 };
 use wfgen::App;
-use wfobs::otlp::decode;
 use wfobs::ObsLevel;
 use wfstorage::StorageKind;
 
@@ -27,7 +29,7 @@ const KINDS: [StorageKind; 5] = [
 /// Rebuild the phase breakdown from a decoded OTLP trace: sum the phase
 /// spans of task attempts that finished `ok` (matching
 /// `phase_breakdown_from_bus`, which drops killed/failed attempts).
-fn phase_breakdown_from_otlp(trace: &decode::Trace) -> PhaseBreakdown {
+fn phase_breakdown_from_otlp(trace: &otlp_check::Trace) -> PhaseBreakdown {
     let ok_tasks: std::collections::HashSet<&str> = trace
         .spans
         .iter()
@@ -66,7 +68,7 @@ fn phase_breakdown_from_otlp(trace: &decode::Trace) -> PhaseBreakdown {
 /// instance type parses back through `InstanceType::from_api_name`.
 /// Feeding the result to `wfcost::CostModel::segments_cents` reproduces
 /// the run's resource bill.
-fn segments_from_otlp(trace: &decode::Trace) -> Vec<wfcost::BilledSegment> {
+fn segments_from_otlp(trace: &otlp_check::Trace) -> Vec<wfcost::BilledSegment> {
     let mut out = Vec::new();
     for s in &trace.spans {
         let Some(itype) = s
@@ -98,7 +100,7 @@ fn export_trace(stats: &RunStats, wf: &wfdag::Workflow, kind: StorageKind, worke
     wfobs::otlp_trace(report, &labels)
 }
 
-fn assert_phase_parity(ctx: &str, stats: &RunStats, trace: &decode::Trace) {
+fn assert_phase_parity(ctx: &str, stats: &RunStats, trace: &otlp_check::Trace) {
     let report = stats.obs.as_ref().expect("Full level records a report");
     let bus = phase_breakdown_from_bus(report);
     let otlp = phase_breakdown_from_otlp(trace);
@@ -121,7 +123,7 @@ fn assert_phase_parity(ctx: &str, stats: &RunStats, trace: &decode::Trace) {
     );
 }
 
-fn assert_cost_parity(ctx: &str, stats: &RunStats, trace: &decode::Trace) {
+fn assert_cost_parity(ctx: &str, stats: &RunStats, trace: &otlp_check::Trace) {
     let from_otlp = segments_from_otlp(trace);
     assert_eq!(
         from_otlp.len(),
@@ -152,8 +154,8 @@ fn otlp_phase_and_cost_parity_on_all_apps() {
             let stats =
                 run_workflow(wf.clone(), cfg).unwrap_or_else(|e| panic!("{app:?}/{kind:?}: {e}"));
             let json = export_trace(&stats, &wf, kind, 2);
-            let trace = decode::trace(&json).expect("trace decodes");
-            decode::check_well_formed(&trace).expect("well-formed");
+            let trace = otlp_check::trace(&json).expect("trace decodes");
+            otlp_check::check_well_formed(&trace).expect("well-formed");
             let ctx = format!("{app:?}/{kind:?}");
             assert_phase_parity(&ctx, &stats, &trace);
             assert_cost_parity(&ctx, &stats, &trace);
@@ -195,8 +197,8 @@ fn otlp_cost_parity_under_node_churn() {
     );
 
     let json = export_trace(&stats, &wf, kind, 3);
-    let trace = decode::trace(&json).expect("trace decodes");
-    decode::check_well_formed(&trace).expect("well-formed under churn");
+    let trace = otlp_check::trace(&json).expect("trace decodes");
+    otlp_check::check_well_formed(&trace).expect("well-formed under churn");
     assert_phase_parity("churn", &stats, &trace);
     assert_cost_parity("churn", &stats, &trace);
 }
@@ -224,8 +226,8 @@ fn otlp_cost_parity_on_spot_instances() {
     );
 
     let json = export_trace(&stats, &wf, kind, 2);
-    let trace = decode::trace(&json).expect("trace decodes");
-    decode::check_well_formed(&trace).expect("well-formed on spot");
+    let trace = otlp_check::trace(&json).expect("trace decodes");
+    otlp_check::check_well_formed(&trace).expect("well-formed on spot");
     assert_cost_parity("spot", &stats, &trace);
 
     // Spot billing genuinely discounts: same run priced as on-demand

@@ -247,7 +247,7 @@ impl BusInner {
 
     fn fire_tick(&mut self, t: u64) {
         for s in &mut self.sinks {
-            s.on_metric_tick(t, &self.recorder.metrics);
+            s.on_metric_tick(t);
         }
         self.last_tick = Some(t);
         self.events_since_tick = false;
@@ -312,11 +312,6 @@ impl ObsHandle {
             }
             inner.sinks.push(sink);
         }
-    }
-
-    /// Number of attached live sinks.
-    pub fn sink_count(&self) -> usize {
-        self.0.as_ref().map_or(0, |b| b.borrow().sinks.len())
     }
 
     /// Set the sim-time metric-tick interval (nanoseconds; clamped to
@@ -413,19 +408,23 @@ impl ObsHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RingBufferSink;
     use std::cell::RefCell;
     use std::rc::Rc;
 
     #[test]
     fn null_handle_is_inert() {
+        let shared = Rc::new(RefCell::new(Shared::default()));
         let h = ObsHandle::disabled();
         assert!(!h.enabled());
+        h.add_sink(Box::new(SharedSink(shared.clone())));
+        h.register_resource("net:w0");
         h.set_now(5);
         h.emit(Event::BgDone);
-        h.add_sink(Box::new(RingBufferSink::new(4)));
         h.flush_sinks();
-        assert_eq!(h.sink_count(), 0);
+        // The sink was never attached: it saw nothing, not even the flush.
+        let s = shared.borrow();
+        assert!(s.events.is_empty() && s.ticks.is_empty() && s.resources.is_empty());
+        assert_eq!(s.flushes, 0);
         assert_eq!(h.digest(), None);
         assert!(h.take_report().is_none());
     }
@@ -503,7 +502,7 @@ mod tests {
         fn on_event(&mut self, t: u64, ev: &Event) {
             self.0.borrow_mut().events.push((t, *ev));
         }
-        fn on_metric_tick(&mut self, t: u64, _m: &Metrics) {
+        fn on_metric_tick(&mut self, t: u64) {
             self.0.borrow_mut().ticks.push(t);
         }
         fn on_flush(&mut self, _t: u64) {
@@ -530,7 +529,7 @@ mod tests {
         let run = |attach: bool| {
             let h = ObsHandle::new(ObsLevel::Full, 9);
             if attach {
-                h.add_sink(Box::new(RingBufferSink::new(2)));
+                h.add_sink(Box::new(SharedSink(Rc::default())));
             }
             for t in 0..50u64 {
                 h.set_now(t * 77_000_000);

@@ -4,8 +4,7 @@
 //! into: a zero-overhead-when-disabled [event bus](bus::ObsHandle) of
 //! typed [events](event::Event), a deterministic [metrics
 //! registry](metrics::Metrics), a [Chrome-trace exporter](chrome), an
-//! [OTLP/JSON exporter](otlp) with an in-repo conformance
-//! [decoder](otlp::decode), a [folded-stack flamegraph
+//! [OTLP/JSON exporter](otlp), a [folded-stack flamegraph
 //! exporter](folded), a live [terminal viewer](tui), and a [streaming run
 //! digest](digest::RunDigest) that turns "did this run replay
 //! byte-identically?" into a single `u64` comparison. The exporters and
@@ -45,7 +44,7 @@ pub use event::{Event, FaultKind, OpKind, Phase};
 pub use folded::folded_storage_stacks;
 pub use metrics::{Histogram, Metrics};
 pub use otlp::{otlp_metrics, otlp_trace, OtlpLabels, SegmentLabel};
-pub use sink::{ObsSink, RingBufferSink};
+pub use sink::ObsSink;
 pub use tui::{
     detect_live_mode, render_frame, term_size_from_env, FrameSink, LiveMode, LiveSink, NodeRate,
     TuiConfig, TuiState,

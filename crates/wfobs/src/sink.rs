@@ -21,7 +21,6 @@
 //!   simulation computes.
 
 use crate::event::Event;
-use crate::metrics::Metrics;
 
 /// A live consumer of the observability stream.
 ///
@@ -44,93 +43,16 @@ pub trait ObsSink {
 
     /// At most one call per simulated throttle interval (see
     /// [`crate::ObsHandle::set_tick_interval`]), plus exactly one final
-    /// tick at flush time if the run did not end on a boundary. The
-    /// metrics registry is populated only at `Full` level; at `Digest`
-    /// level it is empty and sinks should rely on their own accumulators.
-    fn on_metric_tick(&mut self, t_nanos: u64, metrics: &Metrics) {
-        let _ = (t_nanos, metrics);
+    /// tick at flush time if the run did not end on a boundary. Sinks
+    /// read their own accumulators; the bus's metrics registry is not
+    /// passed because it is empty at `Digest` level.
+    fn on_metric_tick(&mut self, t_nanos: u64) {
+        let _ = t_nanos;
     }
 
     /// The run is over; flush any buffered output and restore terminal
     /// state. Called exactly once, after the final metric tick.
     fn on_flush(&mut self, t_nanos: u64) {
         let _ = t_nanos;
-    }
-}
-
-/// A bounded in-memory event buffer: the simplest useful sink, and the
-/// reference for the "bounded, back-pressure-free" contract. Keeps the
-/// most recent `cap` events; older ones fall off the front.
-#[derive(Debug)]
-pub struct RingBufferSink {
-    cap: usize,
-    events: std::collections::VecDeque<(u64, Event)>,
-    ticks: Vec<u64>,
-    flushed_at: Option<u64>,
-}
-
-impl RingBufferSink {
-    /// A ring buffer holding at most `cap` events (`cap ≥ 1`).
-    pub fn new(cap: usize) -> Self {
-        RingBufferSink {
-            cap: cap.max(1),
-            events: std::collections::VecDeque::new(),
-            ticks: Vec::new(),
-            flushed_at: None,
-        }
-    }
-
-    /// The buffered (time, event) pairs, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(u64, Event)> {
-        self.events.iter()
-    }
-
-    /// Times at which metric ticks fired.
-    pub fn ticks(&self) -> &[u64] {
-        &self.ticks
-    }
-
-    /// The flush time, once flushed.
-    pub fn flushed_at(&self) -> Option<u64> {
-        self.flushed_at
-    }
-}
-
-impl ObsSink for RingBufferSink {
-    fn on_event(&mut self, t_nanos: u64, ev: &Event) {
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-        }
-        self.events.push_back((t_nanos, *ev));
-    }
-
-    fn on_metric_tick(&mut self, t_nanos: u64, _metrics: &Metrics) {
-        self.ticks.push(t_nanos);
-    }
-
-    fn on_flush(&mut self, t_nanos: u64) {
-        self.flushed_at = Some(t_nanos);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let mut s = RingBufferSink::new(2);
-        s.on_event(1, &Event::BgDone);
-        s.on_event(2, &Event::TaskReady { task: 7 });
-        s.on_event(3, &Event::BgDone);
-        let ts: Vec<u64> = s.events().map(|&(t, _)| t).collect();
-        assert_eq!(ts, vec![2, 3]);
-    }
-
-    #[test]
-    fn zero_cap_is_clamped() {
-        let mut s = RingBufferSink::new(0);
-        s.on_event(1, &Event::BgDone);
-        assert_eq!(s.events().count(), 1);
     }
 }

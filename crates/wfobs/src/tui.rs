@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 
 use crate::event::{Event, FaultKind, Phase};
-use crate::metrics::Metrics;
 use crate::name_or;
 use crate::sink::ObsSink;
 use crate::spans::{Attempt, Outcome, Spans, Step};
@@ -756,7 +755,7 @@ impl ObsSink for LiveSink {
         self.state.apply(t_nanos, ev);
     }
 
-    fn on_metric_tick(&mut self, t_nanos: u64, _metrics: &Metrics) {
+    fn on_metric_tick(&mut self, t_nanos: u64) {
         self.state.tick(t_nanos);
         self.draw(false);
     }
@@ -810,7 +809,7 @@ impl ObsSink for FrameSink {
         self.state.apply(t_nanos, ev);
     }
 
-    fn on_metric_tick(&mut self, t_nanos: u64, _metrics: &Metrics) {
+    fn on_metric_tick(&mut self, t_nanos: u64) {
         self.state.tick(t_nanos);
         let mut frames = self.frames.borrow_mut();
         if frames.len() == self.cap {

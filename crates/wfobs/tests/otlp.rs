@@ -1,10 +1,223 @@
-//! OTLP/JSON conformance at the `wfobs` level.
+//! OTLP/JSON export at the `wfobs` level: round trips of a small
+//! synthetic run through the shared conformance checker, and the
+//! checker's own rejections.
 //!
 //! The rejection tests feed the well-formedness checker hand-built
 //! documents that each break exactly one rule, so a checker that accepts
 //! everything fails here rather than passing every exporter test.
 
-use wfobs::otlp::decode as otlp_check;
+mod otlp_check;
+
+use wfobs::{
+    otlp_metrics, otlp_trace, Event, FaultKind, ObsHandle, ObsLevel, ObsReport, OpKind, OtlpLabels,
+    Phase, SegmentLabel,
+};
+
+fn sample_report() -> ObsReport {
+    let h = ObsHandle::new(ObsLevel::Full, 7);
+    h.set_now(0);
+    h.emit(Event::SegmentOpen {
+        node: 0,
+        spot: false,
+    });
+    h.emit(Event::TaskStart {
+        task: 0,
+        node: 0,
+        attempt: 0,
+    });
+    h.set_now(250_000_000);
+    h.emit(Event::TaskPhase {
+        task: 0,
+        node: 0,
+        phase: Phase::Read,
+    });
+    h.emit(Event::StorageOp {
+        op: OpKind::Read,
+        node: 0,
+        bytes: 1000,
+    });
+    h.emit(Event::CacheMiss { node: 0 });
+    h.set_now(1_000_000_000);
+    h.emit(Event::TaskPhase {
+        task: 0,
+        node: 0,
+        phase: Phase::Compute,
+    });
+    h.set_now(2_000_000_000);
+    h.emit(Event::Fault {
+        kind: FaultKind::NodeCrash,
+        node: 0,
+    });
+    h.emit(Event::TaskKilled {
+        task: 0,
+        node: 0,
+        wasted_nanos: 2_000_000_000,
+    });
+    h.emit(Event::SegmentClose { node: 0 });
+    h.set_now(2_100_000_000);
+    h.emit(Event::SegmentOpen {
+        node: 0,
+        spot: false,
+    });
+    h.emit(Event::TaskStart {
+        task: 0,
+        node: 0,
+        attempt: 0,
+    });
+    h.set_now(3_000_000_000);
+    h.emit(Event::TaskEnd {
+        task: 0,
+        node: 0,
+        attempt: 1,
+    });
+    h.emit(Event::SegmentClose { node: 0 });
+    h.take_report().unwrap()
+}
+
+fn labels() -> OtlpLabels {
+    OtlpLabels {
+        service_name: "wfsim".into(),
+        run_name: "sample".into(),
+        storage: "NFS".into(),
+        workers: 1,
+        task_names: vec!["mAdd".into()],
+        node_names: vec!["w0".into()],
+        segments: vec![
+            SegmentLabel {
+                node: 0,
+                itype: "c1.xlarge".into(),
+                spot: false,
+                secs: 2.0,
+            },
+            SegmentLabel {
+                node: 0,
+                itype: "c1.xlarge".into(),
+                spot: false,
+                secs: 0.9,
+            },
+        ],
+    }
+}
+
+#[test]
+fn export_round_trips_and_is_well_formed() {
+    let report = sample_report();
+    let json = otlp_trace(&report, &labels());
+    let t = otlp_check::trace(&json).expect("decodes");
+    otlp_check::check_well_formed(&t).expect("well-formed");
+    // run root + 2 node incarnations + 2 task attempts + phases
+    // (overhead, read, compute of attempt 0; overhead of attempt 1).
+    assert_eq!(t.spans.len(), 1 + 2 + 2 + 4, "{json}");
+    assert_eq!(
+        t.resource_attr("wf.storage.backend").unwrap().as_str(),
+        Some("NFS")
+    );
+    let root = t
+        .spans
+        .iter()
+        .find(|s| s.parent_span_id.is_empty())
+        .unwrap();
+    assert_eq!(root.name, "run sample");
+    assert!(root.events.iter().any(|e| e.name == "fault"));
+}
+
+#[test]
+fn retry_links_to_previous_attempt_and_kill_is_error() {
+    let t = otlp_check::trace(&otlp_trace(&sample_report(), &labels())).unwrap();
+    let attempts: Vec<_> = t.spans.iter().filter(|s| s.name == "mAdd").collect();
+    assert_eq!(attempts.len(), 2);
+    let killed = attempts
+        .iter()
+        .find(|s| s.attr("wf.task.outcome").unwrap().as_str() == Some("killed"))
+        .expect("killed attempt present");
+    assert_eq!(killed.status_code, 2);
+    let retry = attempts
+        .iter()
+        .find(|s| s.attr("wf.task.outcome").unwrap().as_str() == Some("ok"))
+        .expect("successful attempt present");
+    assert_eq!(retry.links.len(), 1);
+    assert_eq!(retry.links[0].span_id, killed.span_id);
+    assert_eq!(
+        retry.links[0].attrs[0].1.as_str(),
+        Some("retry_of"),
+        "link kind"
+    );
+}
+
+#[test]
+fn billing_attributes_follow_incarnation_order() {
+    let t = otlp_check::trace(&otlp_trace(&sample_report(), &labels())).unwrap();
+    let incs: Vec<_> = t
+        .spans
+        .iter()
+        .filter(|s| s.attr("wf.billing.secs").is_some())
+        .collect();
+    assert_eq!(incs.len(), 2);
+    assert_eq!(incs[0].attr("wf.billing.secs").unwrap().as_f64(), Some(2.0));
+    assert_eq!(incs[1].attr("wf.billing.secs").unwrap().as_f64(), Some(0.9));
+    assert_eq!(
+        incs[1].links[0].attrs[0].1.as_str(),
+        Some("previous_incarnation")
+    );
+}
+
+#[test]
+fn export_is_byte_deterministic() {
+    let report = sample_report();
+    assert_eq!(
+        otlp_trace(&report, &labels()),
+        otlp_trace(&report, &labels())
+    );
+    assert_eq!(
+        otlp_metrics(&report, &labels()),
+        otlp_metrics(&report, &labels())
+    );
+}
+
+#[test]
+fn ids_derive_from_seed_and_digest() {
+    let report = sample_report();
+    let a = otlp_check::trace(&otlp_trace(&report, &labels())).unwrap();
+    let b = otlp_check::trace(&otlp_trace(&report, &labels())).unwrap();
+    assert_eq!(a.spans[0].trace_id, b.spans[0].trace_id);
+    // A different seed produces a different digest, hence new ids.
+    let other = {
+        let h = ObsHandle::new(ObsLevel::Full, 8);
+        h.emit(Event::BgDone);
+        h.take_report().unwrap()
+    };
+    let c = otlp_check::trace(&otlp_trace(&other, &labels())).unwrap();
+    assert_ne!(a.spans[0].trace_id, c.spans[0].trace_id);
+}
+
+#[test]
+fn metrics_round_trip() {
+    let report = sample_report();
+    let json = otlp_metrics(&report, &labels());
+    let doc = otlp_check::metrics(&json).expect("decodes");
+    let sum = |name: &str| doc.sum(name).unwrap_or_else(|| panic!("{name} missing"));
+    assert_eq!(sum("wf.tasks_started"), 2);
+    assert_eq!(sum("wf.tasks_finished"), 1);
+    assert_eq!(sum("wf.tasks_killed"), 1);
+    assert_eq!(sum("wf.cache_misses"), 1);
+    assert_eq!(
+        doc.resource,
+        otlp_check::trace(&otlp_trace(&report, &labels()))
+            .unwrap()
+            .resource,
+        "trace and metrics share the resource block"
+    );
+}
+
+#[test]
+fn empty_report_still_exports_single_root() {
+    let h = ObsHandle::new(ObsLevel::Full, 3);
+    let report = h.take_report().unwrap();
+    let t = otlp_check::trace(&otlp_trace(&report, &OtlpLabels::default())).unwrap();
+    otlp_check::check_well_formed(&t).expect("well-formed");
+    assert_eq!(t.spans.len(), 1);
+    assert_eq!(t.spans[0].start, t.spans[0].end);
+}
 
 const TRACE_ID: &str = "0123456789abcdef0123456789abcdef";
 const ROOT: &str = "00000000000000a1";
@@ -160,5 +373,12 @@ fn rejects_a_child_outside_its_parent() {
 fn rejects_a_dangling_link() {
     let mut spans = tree();
     spans[2].link = Some(MISSING);
+    assert_rejected(&spans, &format!("link {MISSING:?} does not resolve"));
+}
+
+#[test]
+fn rejects_a_dangling_link_on_the_root() {
+    let mut spans = tree();
+    spans[0].link = Some(MISSING);
     assert_rejected(&spans, &format!("link {MISSING:?} does not resolve"));
 }

@@ -21,7 +21,9 @@
 # OTLP conformance:    the wfengine/expt otlp test targets (well-formedness
 #                      proptests, edge cases, phase/cost parity, exporter
 #                      hashes under faults), plus wfobs standing alone
-#                      without default features
+#                      without default features and with no normal
+#                      dependency (its test-only OTLP checker parses with
+#                      serde_json, which must stay a dev-dependency)
 # Live TUI:            golden-frame + live-determinism test targets, the
 #                      frame-geometry proptest, and `wfsim run --live`
 #                      under TERM=dumb (must fall back to plain `live:`
@@ -67,6 +69,12 @@ echo "== otlp conformance =="
 cargo test -q -p wfengine --test prop_otlp --test otlp_edge
 cargo test -q -p expt --test otlp_parity --test folded_golden --test export_golden
 cargo test -q -p wfobs --no-default-features
+wfobs_deps="$(cargo tree -p wfobs -e normal --prefix none | grep -v '^wfobs ' || true)"
+if [[ -n "$wfobs_deps" ]]; then
+    echo "error: wfobs must have no normal dependencies, found:" >&2
+    echo "$wfobs_deps" >&2
+    exit 1
+fi
 
 echo "== live TUI: golden frames + determinism + geometry =="
 cargo test -q -p expt --test tui_golden --test live_determinism
