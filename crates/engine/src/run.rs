@@ -43,6 +43,9 @@ pub struct RunStats {
     pub tasks: usize,
     /// Simulation events fired (diagnostic).
     pub events: u64,
+    /// Flow-engine work counters (diagnostic, like `events`: never
+    /// digested, exported or reported).
+    pub flow_work: simcore::FlowWork,
     /// Storage operation counters.
     pub op_stats: StorageOpStats,
     /// Billing-relevant usage (S3 requests).
@@ -269,6 +272,7 @@ pub fn run_workflow_with_obs(
         makespan_secs,
         tasks: total,
         events: sim.events_fired(),
+        flow_work: sim.flow_work(),
         op_stats: world.storage.op_stats(),
         billing: world.storage.billing(),
         total_io_secs,

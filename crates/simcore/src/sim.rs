@@ -7,7 +7,7 @@
 //! sequence number breaks ties), and calendar events win ties against flow
 //! completions — both rules are deterministic.
 
-use crate::flow::{FlowEngine, FlowId, FlowSpec, ResourceId, ResourceStats};
+use crate::flow::{FlowEngine, FlowId, FlowSpec, FlowWork, ResourceId, ResourceStats};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -134,6 +134,11 @@ impl<W> Sim<W> {
     /// (started, completed) flow counters.
     pub fn flow_counters(&self) -> (u64, u64) {
         self.flows.flow_counters()
+    }
+
+    /// The flow engine's work counters (see [`FlowEngine::work`]).
+    pub fn flow_work(&self) -> FlowWork {
+        self.flows.work()
     }
 
     /// Schedule `f` at absolute time `t` (clamped to the present if `t` is
