@@ -202,7 +202,9 @@ proptest! {
 
     /// Each observability level records exactly what it promises: `Off`
     /// nothing, `Digest` only the digest (no exporter-visible event log),
-    /// `Full` the digest plus a non-empty report that agrees with it.
+    /// `Full` the digest plus a non-empty report that agrees with it. No
+    /// level changes the simulation: makespan bits, events and flow-engine
+    /// work all equal those of an `Off` run on the same inputs.
     #[test]
     fn obs_levels_record_what_they_promise(
         tasks in proptest::collection::vec(gen_task(), 1..8),
@@ -239,6 +241,14 @@ proptest! {
         if level != ObsLevel::Off {
             let other = run(&tasks, kind_ix, workers, seed, ObsLevel::Digest);
             prop_assert_eq!(stats.digest, other.digest);
+            let off = run(&tasks, kind_ix, workers, seed, ObsLevel::Off);
+            prop_assert_eq!(
+                stats.makespan_secs.to_bits(),
+                off.makespan_secs.to_bits(),
+                "observability changed simulated time"
+            );
+            prop_assert_eq!(stats.events, off.events);
+            prop_assert_eq!(stats.flow_work, off.flow_work);
         }
     }
 }

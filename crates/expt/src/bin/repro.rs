@@ -3,13 +3,16 @@
 //!
 //! ```text
 //! cargo run --release -p expt --bin repro [-- --seed N] [--skip-ablations]
-//! cargo run --release -p expt --bin repro -- --bench-smoke   # vs BENCH.json
-//! cargo run --release -p expt --bin repro -- --bench-smoke --update
+//! cargo run --release -p expt --bin repro -- --golden-digest [--update]
+//! cargo run --release -p expt --bin repro -- --golden-otlp [--update]
 //! ```
 //!
 //! Prints Table I, the §III.C disk microbenchmark, Figs 2–7, the XtreemFS
 //! note, the ablation table and the shape-check scoreboard; writes the
-//! whole dataset to `reports/repro-<seed>.json`.
+//! whole dataset to `reports/repro-<seed>.json`. `--golden-digest` and
+//! `--golden-otlp` instead check a tiny fixed run against the checked-in
+//! goldens (`--update` rewrites them). Any other argument is rejected
+//! with exit code 2, so a mistyped flag cannot start the full run.
 
 use expt::figures::{runtime_figure, table1, xtreemfs_note};
 use expt::{ablations, analysis, future_work, microbench, render, Report};
@@ -74,41 +77,44 @@ fn golden_otlp_run() -> String {
     doc
 }
 
-/// One engine's best wall time recorded in an existing `BENCH.json`, if
-/// present and well-formed.
-fn baseline_min_ms(doc: &serde_json::Value, engine: &str) -> Option<f64> {
-    for e in doc.get("engines")?.as_array()? {
-        if matches!(e.get("engine"), Some(serde_json::Value::Str(s)) if s == engine) {
-            return match e.get("min_ms")? {
-                serde_json::Value::F64(f) => Some(*f),
-                serde_json::Value::I64(n) => Some(*n as f64),
-                serde_json::Value::U64(n) => Some(*n as f64),
-                _ => None,
-            };
-        }
-    }
-    None
-}
+/// Every option `repro` accepts; `--seed` takes a value.
+const KNOWN_OPTIONS: [&str; 5] = [
+    "--seed",
+    "--skip-ablations",
+    "--golden-digest",
+    "--golden-otlp",
+    "--update",
+];
 
-/// The committed baseline for the disabled-bus regression gate:
-/// `(incremental min_ms, naive min_ms)` from the existing `BENCH.json`.
-fn bench_baseline() -> Option<(f64, f64)> {
-    let text = std::fs::read_to_string("BENCH.json").ok()?;
-    let doc: serde_json::Value = serde_json::from_str(&text).ok()?;
-    Some((
-        baseline_min_ms(&doc, "incremental")?,
-        baseline_min_ms(&doc, "naive")?,
-    ))
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}");
+    eprintln!("known options: --seed N {}", KNOWN_OPTIONS[1..].join(" "));
+    std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42u64);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut seed = 42u64;
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if a == "--seed" {
+            seed = args
+                .get(i + 1)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| usage_error("--seed requires a number"));
+            i += 2;
+            continue;
+        }
+        if !KNOWN_OPTIONS.contains(&a) {
+            let mut msg = format!("unknown option {a:?}");
+            if let Some(s) = expt::cli::closest(a, KNOWN_OPTIONS.iter().copied()) {
+                msg.push_str(&format!(" (did you mean {s}?)"));
+            }
+            usage_error(&msg);
+        }
+        i += 1;
+    }
     let skip_ablations = args.iter().any(|a| a == "--skip-ablations");
 
     if args.iter().any(|a| a == "--golden-digest") {
@@ -161,71 +167,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("golden OTLP ok: {} bytes", doc.len());
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench-smoke") {
-        // Quick kernel perf smoke: time the incremental engine against the
-        // preserved reference solver and check it against BENCH.json. The
-        // baseline moves only under `--update`, as the goldens do.
-        //
-        // The kernel hot path runs with the event bus disabled; hold it to
-        // within 5% of the committed baseline so instrumentation cost can
-        // never creep into the default configuration unnoticed (the digest
-        // bus alone costs ~15% on this path, so a real leak clears 5% by a
-        // wide margin). Raw wall time shifts with machine load, so the
-        // comparison is normalized by the co-measured reference solver
-        // (both engines run unchanged byte-for-byte code in the same
-        // process, so a sustained slowdown moves them together), and a
-        // violation is re-measured up to twice before it is declared a
-        // regression. The tolerance must stay above the benchmark's own
-        // run-to-run jitter of min_ms on shared hosts (observed >2%).
-        let mut smoke = expt::perf::bench_smoke(20_000);
-        print!("{}", expt::perf::render(&smoke));
-        if args.iter().any(|a| a == "--update") {
-            std::fs::write(
-                "BENCH.json",
-                serde_json::to_string_pretty(&smoke).expect("serialise bench smoke"),
-            )
-            .expect("write BENCH.json");
-            println!("bench baseline updated -> BENCH.json");
-            return;
-        }
-        let Some((old_inc, old_naive)) = bench_baseline() else {
-            eprintln!("read BENCH.json baseline (run with --bench-smoke --update to create)");
-            std::process::exit(1);
-        };
-        let minutes = |s: &expt::perf::BenchSmoke, name: &str| {
-            s.engines
-                .iter()
-                .find(|e| e.engine == name)
-                .expect("engine timing present")
-                .min_ms
-        };
-        for attempt in 1..=3u32 {
-            let inc = minutes(&smoke, "incremental");
-            let naive = minutes(&smoke, "naive");
-            let scale = naive / old_naive;
-            let bound = old_inc * scale * 1.05;
-            println!(
-                "  disabled-bus check: {inc:.2}ms vs baseline {old_inc:.2}ms \
-                 × load {scale:.3} → bound {bound:.2}ms"
-            );
-            if inc <= bound {
-                break;
-            }
-            if attempt == 3 {
-                eprintln!(
-                    "disabled-bus kernel path regressed: {inc:.2}ms vs \
-                     load-normalized bound {bound:.2}ms (>5%) on 3 attempts"
-                );
-                std::process::exit(1);
-            }
-            println!("  over bound — re-measuring ({attempt}/3)…");
-            smoke = expt::perf::bench_smoke(20_000);
-            print!("{}", expt::perf::render(&smoke));
-        }
-        println!("bench smoke ok (BENCH.json unchanged)");
         return;
     }
 

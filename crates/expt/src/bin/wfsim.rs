@@ -95,29 +95,6 @@ const EXPORT_FLAGS: &[&str] = &["tiny"];
 const BOTTLENECK_OPTS: &[&str] = &["app", "storage", "workers"];
 const BOTTLENECK_FLAGS: &[&str] = &["tiny"];
 
-fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur.push((prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
-}
-
-fn closest<'a>(key: &str, candidates: impl Iterator<Item = &'a str>) -> Option<&'a str> {
-    candidates
-        .map(|c| (levenshtein(key, c), c))
-        .filter(|&(d, _)| d <= 3)
-        .min()
-        .map(|(_, c)| c)
-}
-
 /// Parse `--key value` options and `--flag` switches against the
 /// subcommand's vocabulary. Anything unrecognised is a hard error with a
 /// nearest-match hint — silent typos have cost real runs their exports.
@@ -143,7 +120,9 @@ fn parse_args(cmd: &str, argv: &[String], opt_keys: &[&str], flag_keys: &[&str])
             i += 1;
         } else {
             let mut msg = format!("unknown option --{key} for `wfsim {cmd}`");
-            if let Some(s) = closest(key, opt_keys.iter().chain(flag_keys.iter()).copied()) {
+            if let Some(s) =
+                expt::cli::closest(key, opt_keys.iter().chain(flag_keys.iter()).copied())
+            {
                 msg.push_str(&format!(" (did you mean --{s}?)"));
             }
             die(&msg);
@@ -345,7 +324,8 @@ fn cmd_run(args: &Args) {
             }
             // One-line machine-greppable summary on stderr, so runs
             // without exporters aren't silent. It ends with the run's
-            // own host cost: wall time and simulated events per second.
+            // own cost: the flow engine's deterministic work counters,
+            // then the host's wall time and simulated events per second.
             let cost = CostModel::default()
                 .segments_cents(&stats.faults.segments, BillingGranularity::PerHour)
                 / 100.0;
@@ -356,8 +336,10 @@ fn cmd_run(args: &Args) {
                 .map_or_else(|| "-".to_owned(), |d| format!("{d:016x}"));
             eprintln!(
                 "wfsim: makespan {:.1}s cost ${cost:.2} digest {digest} faults {fault_count} \
-                 wall {wall:.3}s events/s {:.0}",
+                 solves {} pushes {} wall {wall:.3}s events/s {:.0}",
                 stats.makespan_secs,
+                stats.flow_work.solves,
+                stats.flow_work.heap_pushes,
                 stats.events as f64 / wall.max(1e-9)
             );
         }

@@ -22,12 +22,12 @@
 
 pub mod ablations;
 pub mod analysis;
+pub mod cli;
 pub mod faults;
 pub mod figures;
 pub mod future_work;
 pub mod grid;
 pub mod microbench;
-pub mod perf;
 pub mod render;
 pub mod report;
 pub mod shape;

@@ -10,10 +10,12 @@
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
-# Perf smoke:          repro --bench-smoke (asserts the incremental and
-#                      reference flow engines agree, and that the
-#                      disabled-bus kernel path stays within 5% of the
-#                      committed BENCH.json, which only --update rewrites)
+# Work counters:       the work_golden test target (two real tiny Montage
+#                      cells must reproduce their pinned flow-engine work,
+#                      event and cache counters exactly, at every obs
+#                      level), plus expt building without simcore's
+#                      `oracle` feature (the reference solver is test-only;
+#                      host wall time is measured by perfbench/run.py)
 # Golden digest:       repro --golden-digest (the fixed tiny workflow must
 #                      reproduce tests/golden_digest.txt bit for bit)
 # Golden OTLP:         repro --golden-otlp (the fixed run must re-export
@@ -100,7 +102,12 @@ if ! grep -q '^wfsim: makespan ' "$live_err"; then
 fi
 rm -f "$live_err"
 
-echo "== perf smoke =="
-cargo run --release -q -p expt --bin repro -- --bench-smoke
+echo "== work counters =="
+cargo test -q -p expt --test work_golden
+expt_oracle="$(cargo tree -p expt -e features --prefix none | grep '^simcore feature "oracle"' || true)"
+if [[ -n "$expt_oracle" ]]; then
+    echo "error: expt must not enable simcore/oracle (the reference solver is test-only)" >&2
+    exit 1
+fi
 
 echo "verify: OK"
