@@ -13,6 +13,7 @@ use crate::exec::exec_plan_guarded;
 use crate::failures;
 use crate::world::{TaskRecord, World};
 use simcore::{Sim, SimDuration, SimTime};
+use vcluster::NodeId;
 use wfdag::TaskId;
 use wfobs::{Event, Phase};
 
@@ -138,22 +139,42 @@ fn dispatch(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: us
     });
 }
 
+/// Enter `phase` of `task` on worker `worker_ix`: stamp the phase's start
+/// on the task record (the write phase has no field of its own, it starts
+/// at `compute_end`) and emit `TaskPhase`. Returns the worker's node.
+fn enter_phase(
+    sim: &Sim<World>,
+    world: &mut World,
+    task: TaskId,
+    worker_ix: usize,
+    phase: Phase,
+) -> NodeId {
+    let now = sim.now();
+    let rec = world.records[task.index()].as_mut().expect("record");
+    match phase {
+        Phase::Ops => rec.ops_start = now,
+        Phase::StageIn => rec.stage_in_start = now,
+        Phase::Read => rec.reads_start = now,
+        Phase::Compute => rec.compute_start = now,
+        Phase::Write => {}
+        Phase::StageOut => rec.stage_out_start = now,
+    }
+    let node = world.cluster.workers()[worker_ix];
+    world.obs.emit(Event::TaskPhase {
+        task: task.0,
+        node: node.0,
+        phase,
+    });
+    node
+}
+
 /// The task's POSIX operation storm, charged to storage systems with a
 /// central per-op bottleneck (NFS).
 fn job_ops(sim: &mut Sim<World>, world: &mut World, task: TaskId, worker_ix: usize, epoch: u32) {
     if !world.live(task, epoch) {
         return;
     }
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .ops_start = sim.now();
-    let node = world.cluster.workers()[worker_ix];
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::Ops,
-    });
+    let node = enter_phase(sim, world, task, worker_ix, Phase::Ops);
     let io_ops = world.wf.task(task).io_ops;
     let plan = world.storage.plan_task_ops(&world.cluster, node, io_ops);
     exec_plan_guarded(
@@ -175,16 +196,7 @@ fn job_stage_in(
     if !world.live(task, epoch) {
         return;
     }
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .stage_in_start = sim.now();
-    let node = world.cluster.workers()[worker_ix];
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::StageIn,
-    });
+    let node = enter_phase(sim, world, task, worker_ix, Phase::StageIn);
     let inputs = world.task_inputs(task);
     let plan = world.storage.plan_stage_in(&world.cluster, node, &inputs);
     exec_plan_guarded(
@@ -208,15 +220,7 @@ fn job_read(
         return;
     }
     if idx == 0 {
-        world.records[task.index()]
-            .as_mut()
-            .expect("record")
-            .reads_start = sim.now();
-        world.obs.emit(Event::TaskPhase {
-            task: task.0,
-            node: world.cluster.workers()[worker_ix].0,
-            phase: Phase::Read,
-        });
+        enter_phase(sim, world, task, worker_ix, Phase::Read);
     }
     let inputs = world.task_inputs(task);
     if idx >= inputs.len() {
@@ -253,51 +257,27 @@ fn job_compute(
     worker_ix: usize,
     epoch: u32,
 ) {
-    let node = world.cluster.workers()[worker_ix];
+    let node = enter_phase(sim, world, task, worker_ix, Phase::Compute);
     let speed = world.cluster.node(node).itype.core_speed();
     let dur = SimDuration::from_secs_f64(world.wf.task(task).cpu_secs / speed);
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .compute_start = sim.now();
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::Compute,
-    });
     sim.schedule_in(dur, move |sim, world| {
         if !world.live(task, epoch) {
             return;
         }
-        world.records[task.index()]
-            .as_mut()
-            .expect("record")
-            .compute_end = sim.now();
+        let rec = world.records[task.index()].as_mut().expect("record");
+        rec.compute_end = sim.now();
+        rec.attempts += 1;
         // Transient-failure injection (before any output is written, so
         // the write-once discipline survives the retry).
-        let fm = world.faults.as_ref().and_then(|p| p.task_failures);
-        if let Some(fm) = fm {
-            world.records[task.index()]
-                .as_mut()
-                .expect("record")
-                .attempts += 1;
+        if let Some(fm) = world.faults.as_ref().and_then(|p| p.task_failures) {
             // Zero-probability models draw nothing, keeping a zero-rate
             // plan bit-identical to no plan at all.
             if fm.prob > 0.0 && world.fault_rng_task.chance(fm.prob) {
                 failures::fail_execution(sim, world, task, worker_ix, fm.max_retries);
                 return;
             }
-        } else {
-            world.records[task.index()]
-                .as_mut()
-                .expect("record")
-                .attempts += 1;
         }
-        world.obs.emit(Event::TaskPhase {
-            task: task.0,
-            node: world.cluster.workers()[worker_ix].0,
-            phase: Phase::Write,
-        });
+        enter_phase(sim, world, task, worker_ix, Phase::Write);
         job_write(sim, world, task, worker_ix, epoch, 0);
     });
 }
@@ -347,16 +327,7 @@ fn job_stage_out(
     if !world.live(task, epoch) {
         return;
     }
-    world.records[task.index()]
-        .as_mut()
-        .expect("record")
-        .stage_out_start = sim.now();
-    let node = world.cluster.workers()[worker_ix];
-    world.obs.emit(Event::TaskPhase {
-        task: task.0,
-        node: node.0,
-        phase: Phase::StageOut,
-    });
+    let node = enter_phase(sim, world, task, worker_ix, Phase::StageOut);
     // Only stage out (and bill) each output once, even across retries.
     let outputs: Vec<_> = world
         .task_outputs(task)

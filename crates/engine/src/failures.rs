@@ -106,7 +106,7 @@ fn node_crash(sim: &mut Sim<World>, world: &mut World, ix: usize, incarnation: u
     if world.node_incarnation[ix] != incarnation || !world.node_up[ix] {
         return; // stale event for an earlier incarnation
     }
-    world.fault_counters.node_crashes += 1;
+    world.fault_summary.node_crashes += 1;
     world.obs.emit(Event::Fault {
         kind: FaultKind::NodeCrash,
         node: world.cluster.workers()[ix].0,
@@ -135,7 +135,7 @@ fn schedule_spot_termination(sim: &mut Sim<World>, world: &mut World, ix: usize,
         if world.node_incarnation[ix] != incarnation || !world.node_up[ix] || !world.node_spot[ix] {
             return;
         }
-        world.fault_counters.spot_terminations += 1;
+        world.fault_summary.spot_terminations += 1;
         world.obs.emit(Event::Fault {
             kind: FaultKind::SpotTermination,
             node: world.cluster.workers()[ix].0,
@@ -230,7 +230,7 @@ fn storage_failure(sim: &mut Sim<World>, world: &mut World, victim: NodeId, resa
     }
     let stalled = world.stall_until.is_some_and(|t| sim.now() < t);
     if !stalled {
-        world.fault_counters.storage_failures += 1;
+        world.fault_summary.storage_failures += 1;
         world.obs.emit(Event::Fault {
             kind: FaultKind::StorageFailure,
             node: victim.0,
@@ -283,7 +283,7 @@ fn apply_failover(sim: &mut Sim<World>, world: &mut World, resp: FailoverRespons
         }
         FailoverResponse::LostFiles(files) => {
             world.any_files_lost = true;
-            world.fault_counters.files_lost += files.len() as u64;
+            world.fault_summary.files_lost += files.len() as u64;
             world.obs.emit(Event::FilesLost {
                 count: files.len() as u32,
             });
@@ -313,8 +313,8 @@ pub(crate) fn kill_task(
         rec.attempts += 1;
         rec.start_at
     };
-    world.fault_counters.tasks_killed += 1;
-    world.fault_counters.wasted_task_secs += now.since(start_at).as_secs_f64();
+    world.fault_summary.tasks_killed += 1;
+    world.fault_summary.wasted_task_secs += now.since(start_at).as_secs_f64();
     world.obs.emit(Event::TaskKilled {
         task: task.0,
         node: world.cluster.workers()[worker_ix].0,
@@ -423,7 +423,7 @@ pub(crate) fn rescue_defer(sim: &mut Sim<World>, world: &mut World, task: TaskId
             world.completed[p.index()] = false;
             world.done -= 1;
             world.rescued.insert(p);
-            world.fault_counters.rescue_resubmits += 1;
+            world.fault_summary.rescue_resubmits += 1;
             world.obs.emit(Event::RescueResubmit { task: p.0 });
             mark_ready(sim, world, p);
         }

@@ -45,7 +45,7 @@ pub use trace::{
     jobstate_log, otlp_labels, phase_breakdown, phase_breakdown_from_bus, render_fault_summary,
     PhaseBreakdown,
 };
-pub use world::{FaultCounters, NodeSched, NodeSegment, TaskRecord, World};
+pub use world::{NodeSched, NodeSegment, TaskRecord, World};
 
 #[cfg(test)]
 mod tests {

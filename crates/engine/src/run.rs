@@ -21,9 +21,11 @@ pub struct FaultSummary {
     pub spot_terminations: u64,
     /// Storage service failures injected.
     pub storage_failures: u64,
-    /// Executions killed mid-flight by a fault.
+    /// Executions killed mid-flight by a fault (excludes transient task
+    /// failures, which abort cleanly at compute end).
     pub tasks_killed: u64,
-    /// Completed tasks resubmitted by the rescue-DAG pass.
+    /// Completed tasks resubmitted by the rescue-DAG pass because an
+    /// output of theirs was lost.
     pub rescue_resubmits: u64,
     /// Files reported lost by storage failover.
     pub files_lost: u64,
@@ -249,16 +251,9 @@ pub fn run_workflow_with_obs(
             });
         }
     }
-    let c = world.fault_counters;
     let faults = FaultSummary {
-        node_crashes: c.node_crashes,
-        spot_terminations: c.spot_terminations,
-        storage_failures: c.storage_failures,
-        tasks_killed: c.tasks_killed,
-        rescue_resubmits: c.rescue_resubmits,
-        files_lost: c.files_lost,
-        wasted_task_secs: c.wasted_task_secs,
         segments,
+        ..std::mem::take(&mut world.fault_summary)
     };
 
     let obs_handle = sim.obs().clone();

@@ -1,6 +1,7 @@
 //! The simulation world: cluster + storage + workflow-management state.
 
 use crate::config::{FaultPlan, RunConfig, SchedulerPolicy};
+use crate::run::FaultSummary;
 use simcore::{DetRng, FlowId, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 use vcluster::{Cluster, NodeId};
@@ -29,27 +30,6 @@ pub struct NodeSegment {
     pub close: Option<SimTime>,
     /// Whether this incarnation was a spot instance.
     pub spot: bool,
-}
-
-/// Counters of injected faults and recovery work, accumulated over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultCounters {
-    /// Worker instances that crashed.
-    pub node_crashes: u64,
-    /// Spot instances revoked by the market.
-    pub spot_terminations: u64,
-    /// Storage service failures injected.
-    pub storage_failures: u64,
-    /// Executions killed mid-flight by a fault (excludes transient
-    /// task failures, which abort cleanly at compute end).
-    pub tasks_killed: u64,
-    /// Completed tasks resubmitted by the rescue-DAG pass because an
-    /// output of theirs was lost.
-    pub rescue_resubmits: u64,
-    /// Files reported lost by storage failover.
-    pub files_lost: u64,
-    /// Slot-seconds of partially-executed work thrown away by kills.
-    pub wasted_task_secs: f64,
 }
 
 /// Timing record of one executed task (of its final, successful attempt;
@@ -208,8 +188,9 @@ pub struct World {
     /// While `Some(t)` and `now < t`, dispatch is suspended (NFS-style
     /// whole-run stall on server failure).
     pub stall_until: Option<SimTime>,
-    /// Fault/recovery counters for the run report.
-    pub fault_counters: FaultCounters,
+    /// Fault/recovery counters for the run report (its `segments` are
+    /// filled from `node_segments` when the run ends).
+    pub fault_summary: FaultSummary,
     /// Billing segments per cluster node (indexed by `NodeId::index`).
     pub node_segments: Vec<Vec<NodeSegment>>,
     /// Fault stream: transient task-failure coin flips.
@@ -316,7 +297,7 @@ impl World {
             staged_out: HashSet::new(),
             any_files_lost: false,
             stall_until: None,
-            fault_counters: FaultCounters::default(),
+            fault_summary: FaultSummary::default(),
             node_segments,
             fault_rng_task: DetRng::stream(cfg.seed, "engine.faults.task"),
             fault_rng_storage: DetRng::stream(cfg.seed, "engine.faults.storage"),

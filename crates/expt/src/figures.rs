@@ -1,7 +1,6 @@
 //! Experiments E1–E8: regenerating every table and figure of the paper.
 
 use crate::grid::{figure_cells, run_cell, run_cell_with, Cell, CellResult};
-use crate::microbench::{self, DiskMicrobench};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vcluster::InstanceType;
@@ -125,11 +124,6 @@ pub fn xtreemfs_note(seed: u64) -> XtreemFsNote {
         })
         .collect();
     XtreemFsNote { rows }
-}
-
-/// The §III.C disk microbenchmark (E0).
-pub fn disk_microbench() -> DiskMicrobench {
-    microbench::run()
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 
 pub mod factory;
 pub mod gluster;
+mod ledger;
 pub mod local;
 pub mod lru;
 pub mod nfs;

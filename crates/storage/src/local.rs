@@ -4,6 +4,7 @@
 //! `c1.xlarge` with tasks reading and writing the local ephemeral RAID
 //! directly. Writes of fresh data pay the first-write penalty (§III.C).
 
+use crate::ledger::Ledger;
 use crate::lru::LruBytes;
 use crate::op::{OpPlan, Stage};
 use crate::traits::{Constraints, FileRef, StorageOpStats, StorageSystem};
@@ -11,7 +12,7 @@ use simcore::SimDuration;
 use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::ObsHandle;
 
 /// Tunables for the local file system.
 #[derive(Debug, Clone, Copy)]
@@ -38,8 +39,7 @@ pub struct LocalDisk {
     cfg: LocalConfig,
     present: HashSet<FileId>,
     page_cache: LruBytes,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: Ledger,
 }
 
 impl LocalDisk {
@@ -50,8 +50,7 @@ impl LocalDisk {
             cfg,
             present: HashSet::new(),
             page_cache: LruBytes::new((mem * cfg.page_cache_fraction) as u64),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: Ledger::default(),
         }
     }
 }
@@ -62,7 +61,7 @@ impl StorageSystem for LocalDisk {
     }
 
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
+        self.ledger.obs = obs;
     }
 
     fn constraints(&self) -> Constraints {
@@ -84,20 +83,12 @@ impl StorageSystem for LocalDisk {
             self.present.contains(&file),
             "read of a file never written: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.read(node, size);
         if self.page_cache.touch(file) {
-            self.stats.cache_hits += 1;
-            self.obs.emit(Event::CacheHit { node: node.0 });
+            self.ledger.hit(node);
             return OpPlan::one(Stage::latency(self.cfg.open_latency));
         }
-        self.stats.cache_misses += 1;
-        self.obs.emit(Event::CacheMiss { node: node.0 });
+        self.ledger.miss(node);
         self.page_cache.insert(file, size);
         let n = cluster.node(node);
         OpPlan::one(Stage::lat_leg(
@@ -115,13 +106,7 @@ impl StorageSystem for LocalDisk {
             self.present.insert(file),
             "write-once violated for {file:?}"
         );
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.write(node, size);
         self.page_cache.insert(file, size);
         let n = cluster.node(node);
         let spec = n.local_write(size);
@@ -144,7 +129,7 @@ impl StorageSystem for LocalDisk {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats
     }
 }
 

@@ -13,13 +13,14 @@
 //! striping bandwidth. The `optimized_small_files` flag models the later
 //! releases as an ablation.
 
+use crate::ledger::Ledger;
 use crate::op::{FlowLeg, OpPlan, Stage};
 use crate::traits::{Constraints, FailoverResponse, FileRef, StorageOpStats, StorageSystem};
 use simcore::SimDuration;
 use std::collections::HashSet;
 use vcluster::{Cluster, NodeId};
 use wfdag::FileId;
-use wfobs::{Event, ObsHandle, OpKind};
+use wfobs::ObsHandle;
 
 /// Tunables for the PVFS model.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +74,7 @@ impl PvfsConfig {
 pub struct Pvfs {
     cfg: PvfsConfig,
     present: HashSet<FileId>,
-    stats: StorageOpStats,
-    obs: ObsHandle,
+    ledger: Ledger,
 }
 
 impl Pvfs {
@@ -83,8 +83,7 @@ impl Pvfs {
         Pvfs {
             cfg,
             present: HashSet::new(),
-            stats: StorageOpStats::default(),
-            obs: ObsHandle::disabled(),
+            ledger: Ledger::default(),
         }
     }
 
@@ -155,7 +154,7 @@ impl Pvfs {
 
 impl StorageSystem for Pvfs {
     fn attach_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
+        self.ledger.obs = obs;
     }
 
     fn name(&self) -> &'static str {
@@ -185,13 +184,7 @@ impl StorageSystem for Pvfs {
             self.present.contains(&file),
             "read of a file never written: {file:?}"
         );
-        self.stats.reads += 1;
-        self.stats.bytes_read += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Read,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.read(node, size);
         OpPlan::one(Stage {
             latency: self.op_latency(size),
             legs: self.striped_legs(cluster, node, size, false),
@@ -203,13 +196,7 @@ impl StorageSystem for Pvfs {
             self.present.insert(file),
             "write-once violated for {file:?}"
         );
-        self.stats.writes += 1;
-        self.stats.bytes_written += size;
-        self.obs.emit(Event::StorageOp {
-            op: OpKind::Write,
-            node: node.0,
-            bytes: size,
-        });
+        self.ledger.write(node, size);
         OpPlan::one(Stage {
             latency: self.op_latency(size),
             legs: self.striped_legs(cluster, node, size, true),
@@ -237,7 +224,7 @@ impl StorageSystem for Pvfs {
     }
 
     fn op_stats(&self) -> StorageOpStats {
-        self.stats
+        self.ledger.stats
     }
 }
 

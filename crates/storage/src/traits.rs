@@ -20,9 +20,18 @@ pub struct StorageOpStats {
     pub bytes_read: u64,
     /// Bytes written (foreground).
     pub bytes_written: u64,
-    /// Reads served from a cache (NFS server page cache, S3 client cache).
+    /// Reads served from a cache. What counts differs by backend:
+    ///
+    /// * NFS: a task read found in the client's page cache, else in the
+    ///   server's page cache;
+    /// * S3: a stage-in input already in the node's whole-file cache;
+    /// * direct transfer: a stage-in input with a replica on the node;
+    /// * local: a task read found in the page cache;
+    /// * GlusterFS, PVFS and XtreemFS: never counted.
     pub cache_hits: u64,
-    /// Reads that missed every cache.
+    /// Reads (S3 and direct transfer: stage-in inputs) that missed every
+    /// cache [`cache_hits`](Self::cache_hits) consults; never counted by
+    /// GlusterFS, PVFS and XtreemFS.
     pub cache_misses: u64,
 }
 

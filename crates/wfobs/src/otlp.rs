@@ -208,10 +208,6 @@ struct Mapper<'a> {
     inc_open: Vec<Option<usize>>,
     /// Node → incarnations so far.
     inc_seen: Vec<u64>,
-    /// Node → previous incarnation span id.
-    inc_prev: Vec<u64>,
-    /// Node → billing cursor into `labels.segments` (grouped by node).
-    seg_cursor: Vec<usize>,
     /// Task → (attempts started so far, latest attempt span id).
     starts: BTreeMap<u32, (u64, u64)>,
     /// Tasks the rescue pass resubmitted whose rerun has not started.
@@ -295,8 +291,6 @@ impl Mapper<'_> {
                 if self.inc_open.len() <= n {
                     self.inc_open.resize(n + 1, None);
                     self.inc_seen.resize(n + 1, 0);
-                    self.inc_prev.resize(n + 1, 0);
-                    self.seg_cursor.resize(n + 1, 0);
                 }
                 let ordinal = self.inc_seen[n];
                 self.inc_seen[n] += 1;
@@ -312,25 +306,20 @@ impl Mapper<'_> {
                 s.attrs
                     .push(("wf.node.incarnation", Attr::I64(ordinal as i64)));
                 s.attrs.push(("wf.node.spot", Attr::Bool(spot)));
-                // Pair the incarnation with its billed segment, in
-                // per-node order.
-                let mut skipped = self.seg_cursor[n];
-                for (i, seg) in labels.segments.iter().enumerate().skip(skipped) {
-                    skipped = i + 1;
-                    if seg.node == node {
-                        s.attrs
-                            .push(("wf.billing.itype", Attr::Str(seg.itype.clone())));
-                        s.attrs.push(("wf.billing.spot", Attr::Bool(seg.spot)));
-                        s.attrs.push(("wf.billing.secs", Attr::F64(seg.secs)));
-                        break;
-                    }
+                // The k-th incarnation of a node bills the node's k-th
+                // segment.
+                let mut segs = labels.segments.iter().filter(|g| g.node == node);
+                if let Some(seg) = segs.nth(ordinal as usize) {
+                    s.attrs
+                        .push(("wf.billing.itype", Attr::Str(seg.itype.clone())));
+                    s.attrs.push(("wf.billing.spot", Attr::Bool(seg.spot)));
+                    s.attrs.push(("wf.billing.secs", Attr::F64(seg.secs)));
                 }
-                self.seg_cursor[n] = skipped;
                 if ordinal > 0 {
-                    s.links.push((self.inc_prev[n], "previous_incarnation"));
+                    let prev = self.ids.span_id(TAG_NODE, u64::from(node), ordinal - 1);
+                    s.links.push((prev, "previous_incarnation"));
                 }
                 s.status = 1;
-                self.inc_prev[n] = id;
                 self.inc_open[n] = Some(self.spans.len());
                 self.spans.push(s);
             }
@@ -427,8 +416,6 @@ fn build_spans(report: &ObsReport, labels: &OtlpLabels) -> SpanForest {
         spans: vec![root],
         inc_open: Vec::new(),
         inc_seen: Vec::new(),
-        inc_prev: Vec::new(),
-        seg_cursor: Vec::new(),
         starts: BTreeMap::new(),
         rescue_pending: BTreeSet::new(),
     };

@@ -10,6 +10,8 @@
 # Lint gates:          cargo clippy --workspace --all-targets -- -D warnings
 #                      cargo fmt --check
 #                      no #[ignore] without a reason string
+#                      storage counters and storage/cache events only in
+#                      the storage ledger (crates/storage/src/ledger.rs)
 # Work counters:       the work_golden test target (two real tiny Montage
 #                      cells must reproduce their pinned flow-engine work,
 #                      event and cache counters exactly, at every obs
@@ -47,6 +49,16 @@ echo "== lint: ignored tests must say why =="
 # `#[ignore]` without `= "reason"` hides a test with no paper trail.
 if grep -rn --include='*.rs' -E '#\[ignore\]' crates src tests shims; then
     echo "error: found #[ignore] without a reason string (use #[ignore = \"why\"])" >&2
+    exit 1
+fi
+
+echo "== lint: storage counters and events go through the ledger =="
+# A backend that bumps a StorageOpStats counter or emits a storage/cache
+# event itself can let the counters and the event stream drift apart.
+if grep -rnE --include='*.rs' --exclude='ledger.rs' \
+    'Event::(StorageOp|CacheHit|CacheMiss)|stats\.(reads|writes|bytes_read|bytes_written|cache_hits|cache_misses) \+=' \
+    crates/storage/src; then
+    echo "error: count and report storage operations through wfstorage's Ledger" >&2
     exit 1
 fi
 
